@@ -169,7 +169,7 @@ int main() {
       bench::CheckOk(hit.status(), "verify request");
       const auto fresh = core::Summarize(runner.rec_graph(), tasks[i], options);
       bench::CheckOk(fresh.status(), "verify fresh");
-      CheckIdentical(*fresh, **hit);
+      CheckIdentical(*fresh, (*hit)->summary());
       ++checked;
     }
   }
@@ -303,7 +303,7 @@ int main() {
     const auto fresh =
         core::Summarize(runner.rec_graph(), tasks[i], kmb_eligible);
     bench::CheckOk(fresh.status(), "batched verify fresh");
-    CheckIdentical(*fresh, **hit);
+    CheckIdentical(*fresh, (*hit)->summary());
     ++wave_checked;
   }
   std::printf("%zu batched responses verified bit-identical to fresh "

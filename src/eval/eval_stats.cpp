@@ -382,8 +382,11 @@ SummaryMetricValues ComputeSummaryMetrics(const data::RecGraph& rec_graph,
 
 void EvalAccumulator::RecordSummary(const data::RecGraph& rec_graph,
                                     const core::Summary& summary) {
-  const SummaryMetricValues values =
-      ComputeSummaryMetrics(rec_graph, summary);
+  RecordValues(ComputeSummaryMetrics(rec_graph, summary), summary);
+}
+
+void EvalAccumulator::RecordValues(const SummaryMetricValues& values,
+                                   const core::Summary& summary) {
   RecordValues(values,
                std::string("method:") +
                    core::SummaryMethodToString(summary.method),

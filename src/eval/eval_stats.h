@@ -182,6 +182,12 @@ class EvalAccumulator {
                     std::string_view method_group,
                     std::string_view scenario_group);
 
+  /// Folds \p values, computed earlier for \p summary, into the groups
+  /// `RecordSummary` would tag it with — the serving handler's entry for a
+  /// summary it has already evaluated once.
+  void RecordValues(const SummaryMetricValues& values,
+                    const core::Summary& summary);
+
   /// Counts a summary the caller could not evaluate (version race).
   void RecordSkipped();
 

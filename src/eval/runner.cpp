@@ -362,14 +362,18 @@ Result<std::vector<SeriesResult>> ExperimentRunner::RunPanel(
         bool has_prev = false;
         for (size_t idx : order) {
           core::SummaryTask task = units[i](spec.ks[idx]);
-          Result<std::shared_ptr<const core::Summary>> result =
+          Result<std::shared_ptr<const service::SummaryRecord>> result =
               cache_service->Summarize(task, method.options,
                                        has_prev ? &prev_task : nullptr);
           if (!result.ok()) {
             unit_status[i] = result.status();
             return;
           }
-          summaries[idx] = std::move(*result);
+          // Aliasing pointer: owns the record, points at its summary.
+          const std::shared_ptr<const service::SummaryRecord>& record =
+              *result;
+          summaries[idx] = std::shared_ptr<const core::Summary>(
+              record, &record->summary());
           prev_task = std::move(task);
           has_prev = true;
         }

@@ -140,14 +140,16 @@ size_t HttpServer::queue_depth() const {
 }
 
 void HttpServer::Shed(int fd) {
+  // Count first: a client that already holds its 503 must be able to read
+  // the shed it caused.
+  requests_shed_.fetch_add(1, std::memory_order_relaxed);
+  if (shed_counter_ != nullptr) shed_counter_->Add();
   HttpResponse response;
   response.status = 503;
   response.body = "{\"error\":\"server overloaded, retry later\"}";
   response.extra_headers.emplace_back("Retry-After", "1");
   SendAll(fd, SerializeResponse(response, /*keep_alive=*/false));
   ::close(fd);
-  requests_shed_.fetch_add(1, std::memory_order_relaxed);
-  if (shed_counter_ != nullptr) shed_counter_->Add();
 }
 
 void HttpServer::AcceptLoop() {

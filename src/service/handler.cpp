@@ -210,7 +210,11 @@ const core::SummaryTask* TaskCatalog::Find(core::Scenario scenario,
 
 SummaryHandler::SummaryHandler(SummaryService* service,
                                const TaskCatalog* catalog, PublishFn publish)
-    : service_(service), catalog_(catalog), publish_(std::move(publish)) {}
+    : service_(service),
+      catalog_(catalog),
+      publish_(std::move(publish)),
+      eval_evaluations_(
+          service->metrics_registry()->GetCounter("eval_evaluations")) {}
 
 net::HttpResponse JsonError(int status, const std::string& message) {
   net::JsonValue json = net::JsonValue::Object();
@@ -365,22 +369,36 @@ net::HttpResponse SummaryHandler::Summarize(const SummaryRequest& request,
     }
     return JsonError(500, result.status().ToString());
   }
-  if (eval_enabled()) {
+  if (eval_enabled()) FoldEvalStats(**result, version);
+  net::HttpResponse response;
+  response.body = SummaryToJson((*result)->summary(), version);
+  return response;
+}
+
+void SummaryHandler::FoldEvalStats(const SummaryRecord& record,
+                                   uint64_t version) {
+  // The metric values depend only on the summary and its snapshot, and a
+  // record lives under one (snapshot version, task) key: once its slot is
+  // filled, every later serve folds the stored values.
+  const eval::SummaryMetricValues* values = record.metric_values();
+  if (values == nullptr) {
     // Evaluate against the snapshot the request was pinned to. A
     // concurrent /snapshot publish can move the registry between the
     // compute and this read; evaluating a summary against a *different*
     // graph would poison the fleet-merge bit-identity, so a version
-    // mismatch is counted as a skip instead (itself a mergeable stat).
+    // mismatch is counted as a skip instead (itself a mergeable stat) and
+    // the slot stays empty.
     const GraphSnapshot snap = service_->CurrentSnapshot();
-    if (snap.valid() && snap.version == version) {
-      eval_stats_.RecordSummary(*snap.graph, **result);
-    } else {
+    if (!snap.valid() || snap.version != version) {
       eval_stats_.RecordSkipped();
+      return;
     }
+    values = &record.FillMetricValues([&] {
+      eval_evaluations_->Add();
+      return eval::ComputeSummaryMetrics(*snap.graph, record.summary());
+    });
   }
-  net::HttpResponse response;
-  response.body = SummaryToJson(**result, version);
-  return response;
+  eval_stats_.RecordValues(*values, record.summary());
 }
 
 net::HttpResponse SummaryHandler::HandleEvalStats() {

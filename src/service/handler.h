@@ -198,9 +198,10 @@ class SummaryHandler {
   const obs::TraceLog& trace_log() const { return trace_log_; }
 
   /// Evaluation-statistics toggle (the `XSUM_EVAL_STATS` env knob): when
-  /// on (the default), every served summary is evaluated against the
-  /// snapshot it was computed on and folded into the mergeable
-  /// accumulator `/evalstats` exposes.
+  /// on (the default), every served summary is folded into the mergeable
+  /// accumulator `/evalstats` exposes. A cached record is evaluated once,
+  /// on its first serve, against the snapshot it was computed on; later
+  /// serves fold the values stored in the record (DESIGN.md §10.5).
   bool eval_enabled() const {
     return eval_enabled_.load(std::memory_order_relaxed);
   }
@@ -232,6 +233,9 @@ class SummaryHandler {
   net::HttpResponse HandleDrain(const std::string& body);
   net::HttpResponse HandleUndrain();
   net::HttpResponse HandleChains(const std::string& body);
+  /// Folds one served \p record, pinned to snapshot \p version, into the
+  /// evaluation accumulator, evaluating it first if its slot is empty.
+  void FoldEvalStats(const SummaryRecord& record, uint64_t version);
 
   SummaryService* service_;
   const TaskCatalog* catalog_;
@@ -242,6 +246,9 @@ class SummaryHandler {
   std::atomic<bool> eval_enabled_{true};
   obs::TraceLog trace_log_;
   eval::EvalAccumulator eval_stats_;
+  /// `eval_evaluations` in the service's registry: one per
+  /// `ComputeSummaryMetrics` call this handler makes.
+  obs::Counter* eval_evaluations_;
 };
 
 /// Renders \p summary as the deterministic `/summarize` response document

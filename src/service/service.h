@@ -120,9 +120,11 @@ class SummaryService {
   SummaryService& operator=(const SummaryService&) = delete;
 
   /// Answers one request: cache hit, coalesced wait, or fresh compute on
-  /// the current graph snapshot. The returned summary is shared and
-  /// immutable; it stays valid independent of cache eviction or snapshot
-  /// swaps.
+  /// the current graph snapshot. The returned record is the one the cache
+  /// holds for (snapshot version, task fingerprint) — every hit, coalesced
+  /// follower and wave member of that key shares it, evaluation slot
+  /// included. Its summary is immutable and stays valid independent of
+  /// cache eviction or snapshot swaps.
   ///
   /// \p predecessor optionally names the chain-predecessor task (the same
   /// unit at k−1, built by the k-sweep callers). On a cache miss the
@@ -143,7 +145,7 @@ class SummaryService {
   /// inheritor. 0 = untagged.
   /// \p trace, when non-null, receives spans for the request's cache
   /// lookup, single-flight wait, worker-slot wait, and kernel time.
-  Result<std::shared_ptr<const core::Summary>> Summarize(
+  Result<std::shared_ptr<const SummaryRecord>> Summarize(
       const core::SummaryTask& task, const core::SummarizerOptions& options,
       const core::SummaryTask* predecessor = nullptr,
       uint64_t* served_version = nullptr, uint64_t route_key = 0,
@@ -192,8 +194,8 @@ class SummaryService {
   uint64_t serving_version() const { return registry_->current_version(); }
 
   /// The registry's current snapshot, pinned by the returned copy (the
-  /// handler's eval accumulation evaluates served summaries against it —
-  /// and skips when a concurrent Publish made the served version differ).
+  /// handler evaluates a record's first serve against it — and skips when
+  /// a concurrent Publish made the served version differ).
   GraphSnapshot CurrentSnapshot() const { return registry_->Current(); }
 
   const ServiceOptions& options() const { return options_; }
@@ -216,7 +218,7 @@ class SummaryService {
     std::condition_variable cv;
     bool done XSUM_GUARDED_BY(mutex) = false;
     Status status XSUM_GUARDED_BY(mutex);
-    std::shared_ptr<const core::Summary> summary XSUM_GUARDED_BY(mutex);
+    std::shared_ptr<const SummaryRecord> record XSUM_GUARDED_BY(mutex);
   };
 
   /// One open micro-batching window: the rendezvous where wave-eligible
@@ -251,7 +253,7 @@ class SummaryService {
   /// Leases a worker slot and runs the engine. \p prev_chain (may be null)
   /// seeds the chained summarization; \p out_chain (may be null) receives
   /// the checkpoint the step produced, for caching alongside the summary.
-  Result<std::shared_ptr<const core::Summary>> ComputeOn(
+  Result<std::shared_ptr<const SummaryRecord>> ComputeOn(
       ServingState& state, const core::SummaryTask& task,
       const core::SummarizerOptions& options,
       const core::SummaryChain* prev_chain,
@@ -259,12 +261,12 @@ class SummaryService {
 
   /// Wave leader path: runs the leader's \p task plus every joined
   /// \p members request as one `RunWaveWith` wave on a single worker
-  /// slot, then inserts each member's summary into the cache and
+  /// slot, then inserts each member's record into the cache and
   /// publishes its flight. Returns the leader's own result (cached and
   /// published by the caller's common path); members are answered as a
   /// side effect. Wave results carry no chain checkpoints (checkpoints
   /// only accelerate later computes — responses are unaffected).
-  Result<std::shared_ptr<const core::Summary>> ComputeWaveOn(
+  Result<std::shared_ptr<const SummaryRecord>> ComputeWaveOn(
       ServingState& state, const core::SummaryTask& task,
       std::vector<BatchGroup::Member> members,
       const core::SummarizerOptions& options, obs::Trace* trace);

@@ -104,12 +104,12 @@ SummaryCache::SummaryCache(const Options& options)
   }
 }
 
-std::shared_ptr<const core::Summary> SummaryCache::Lookup(
+std::shared_ptr<const SummaryRecord> SummaryCache::Lookup(
     const CacheKey& key) {
   Shard& shard = ShardFor(key);
   sync::MutexLock lock(shard.mutex);
   auto it = shard.map.find(key);
-  if (it == shard.map.end() || it->second->summary == nullptr) {
+  if (it == shard.map.end() || it->second->record == nullptr) {
     // A chain-only placeholder (imported drain checkpoint) is a *miss*:
     // it holds reusable closure state, not an answer, and serving it
     // would break the byte-identity invariant.
@@ -118,7 +118,7 @@ std::shared_ptr<const core::Summary> SummaryCache::Lookup(
   }
   ++shard.hits;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-  return it->second->summary;
+  return it->second->record;
 }
 
 std::shared_ptr<const core::SummaryChain> SummaryCache::LookupChain(
@@ -151,15 +151,15 @@ void SummaryCache::EmplaceLocked(Shard& shard, Entry entry) {
 }
 
 void SummaryCache::Insert(const CacheKey& key,
-                          std::shared_ptr<const core::Summary> summary,
+                          std::shared_ptr<const SummaryRecord> record,
                           std::shared_ptr<const core::SummaryChain> chain,
                           uint64_t route_key) {
-  if (summary == nullptr) return;
+  if (record == nullptr) return;
   Shard& shard = ShardFor(key);
   sync::MutexLock lock(shard.mutex);
   auto it = shard.map.find(key);
   if (it != shard.map.end()) {
-    if (it->second->summary != nullptr) return;  // first full writer wins
+    if (it->second->record != nullptr) return;  // first full writer wins
     // Chain-only placeholder from a drain handoff: upgrade it. The
     // imported chain survives when the writer brings none (it may hold a
     // longer-reusable closure than this step produced).
@@ -169,9 +169,9 @@ void SummaryCache::Insert(const CacheKey& key,
     shard.lru.erase(it->second);
     shard.map.erase(it);
   }
-  size_t bytes = SummaryFootprintBytes(*summary) + sizeof(Entry);
+  size_t bytes = record->MemoryFootprintBytes() + sizeof(Entry);
   if (chain != nullptr) bytes += chain->MemoryFootprintBytes();
-  EmplaceLocked(shard, Entry{key, std::move(summary), std::move(chain),
+  EmplaceLocked(shard, Entry{key, std::move(record), std::move(chain),
                              route_key, bytes});
 }
 
@@ -181,23 +181,23 @@ void SummaryCache::InsertChainOnly(
   if (chain == nullptr) return;
   Shard& shard = ShardFor(key);
   sync::MutexLock lock(shard.mutex);
-  std::shared_ptr<const core::Summary> summary;
+  std::shared_ptr<const SummaryRecord> record;
   auto it = shard.map.find(key);
   if (it != shard.map.end()) {
     if (it->second->chain != nullptr) return;  // resident checkpoint wins
-    // The key holds a summary without a chain (e.g. a non-chainable
+    // The key holds a record without a chain (e.g. a non-chainable
     // method landed first under fingerprint reuse is impossible — same
     // key means same options — but a budget-trimmed insert can): attach
-    // the imported chain, keeping the summary.
-    summary = it->second->summary;
+    // the imported chain, keeping the record and its evaluation slot.
+    record = it->second->record;
     if (route_key == 0) route_key = it->second->route_key;
     shard.bytes -= it->second->bytes;
     shard.lru.erase(it->second);
     shard.map.erase(it);
   }
   size_t bytes = sizeof(Entry) + chain->MemoryFootprintBytes();
-  if (summary != nullptr) bytes += SummaryFootprintBytes(*summary);
-  EmplaceLocked(shard, Entry{key, std::move(summary), std::move(chain),
+  if (record != nullptr) bytes += record->MemoryFootprintBytes();
+  EmplaceLocked(shard, Entry{key, std::move(record), std::move(chain),
                              route_key, bytes});
 }
 

@@ -1,5 +1,5 @@
 /// \file summary_cache.h
-/// \brief Sharded, task-keyed LRU cache of computed `Summary` objects — the
+/// \brief Sharded, task-keyed LRU cache of computed summary records — the
 /// result store of the summary service layer (DESIGN.md §3).
 ///
 /// The paper's workloads are inherently repetitive: the same user/group
@@ -20,26 +20,31 @@
 /// Sharding. Keys are distributed over `num_shards` independent shards
 /// (shard = fingerprint-low bits), each with its own mutex, LRU list, and
 /// slice of the byte budget, so concurrent requests for different tasks do
-/// not serialize on one lock. Values are `shared_ptr<const Summary>`:
-/// readers share the stored object; eviction never invalidates a summary a
-/// caller already holds.
+/// not serialize on one lock. Values are `shared_ptr<const SummaryRecord>`:
+/// readers share the stored record (the summary plus its write-once
+/// evaluation slot); eviction never invalidates a record a caller already
+/// holds.
 ///
 /// Budget. `Options::max_bytes` bounds the *accounted* resident size — the
-/// `SummaryFootprintBytes` of every cached value plus per-entry bookkeeping
-/// — enforced per shard (budget / num_shards each); inserting past the
-/// budget evicts least-recently-used entries first. A value larger than a
-/// whole shard budget is simply not retained.
+/// `SummaryRecord::MemoryFootprintBytes` of every cached value plus
+/// per-entry bookkeeping — enforced per shard (budget / num_shards each);
+/// inserting past the budget evicts least-recently-used entries first. A
+/// value larger than a whole shard budget is simply not retained.
 
 #ifndef XSUM_SERVICE_SUMMARY_CACHE_H_
 #define XSUM_SERVICE_SUMMARY_CACHE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/summarizer.h"
+#include "eval/eval_stats.h"
 #include "util/sync.h"
 
 namespace xsum::core {
@@ -80,6 +85,61 @@ void FingerprintTask(const core::SummaryTask& task,
 /// terminal/anchor vectors + the struct itself).
 size_t SummaryFootprintBytes(const core::Summary& summary);
 
+/// \brief One cached answer: the immutable summary plus a write-once slot
+/// for its paper §V-B metric values (DESIGN.md §3.1, §10.5).
+///
+/// The values depend only on the summary and the snapshot it was computed
+/// on, and the record lives under exactly one (snapshot version, task
+/// fingerprint) key, so the serving handler evaluates a record at most
+/// once and folds the stored values on every later serve. The slot fills
+/// lazily: callers that never evaluate (the panel runner, the benches,
+/// `XSUM_EVAL_STATS=0`) never pay for it. Thread-safe; share via
+/// `shared_ptr<const SummaryRecord>`.
+class SummaryRecord {
+ public:
+  explicit SummaryRecord(core::Summary summary)
+      : summary_(std::move(summary)) {}
+
+  SummaryRecord(const SummaryRecord&) = delete;
+  SummaryRecord& operator=(const SummaryRecord&) = delete;
+
+  const core::Summary& summary() const { return summary_; }
+
+  /// The stored metric values, or nullptr while the slot is empty.
+  const eval::SummaryMetricValues* metric_values() const {
+    return filled_.load(std::memory_order_acquire) ? &metric_values_
+                                                   : nullptr;
+  }
+
+  /// Fills the slot with `evaluate()` unless it is already filled, and
+  /// returns the stored values. `evaluate` runs at most once over the
+  /// record's lifetime; concurrent callers block until it has returned.
+  template <typename Evaluate>
+  const eval::SummaryMetricValues& FillMetricValues(
+      Evaluate&& evaluate) const {
+    std::call_once(fill_once_, [&] {
+      metric_values_ = evaluate();
+      filled_.store(true, std::memory_order_release);
+    });
+    return metric_values_;
+  }
+
+  /// Accounted resident bytes: the summary's footprint plus the record
+  /// itself, slot included.
+  size_t MemoryFootprintBytes() const {
+    return SummaryFootprintBytes(summary_) - sizeof(core::Summary) +
+           sizeof(SummaryRecord);
+  }
+
+ private:
+  const core::Summary summary_;
+  mutable std::once_flag fill_once_;
+  /// Set (release) after the slot is written — lets `metric_values()`
+  /// observe a filled slot without entering call_once.
+  mutable std::atomic<bool> filled_{false};
+  mutable eval::SummaryMetricValues metric_values_;
+};
+
 /// \brief Aggregated cache counters (summed over shards).
 struct CacheStats {
   uint64_t hits = 0;
@@ -110,19 +170,19 @@ class SummaryCache {
   SummaryCache();
   explicit SummaryCache(const Options& options);
 
-  /// Returns the cached summary for \p key and marks it most-recently-used,
+  /// Returns the cached record for \p key and marks it most-recently-used,
   /// or nullptr on miss.
-  std::shared_ptr<const core::Summary> Lookup(const CacheKey& key);
+  std::shared_ptr<const SummaryRecord> Lookup(const CacheKey& key);
 
-  /// Returns the chain checkpoint stored alongside \p key's summary, or
+  /// Returns the chain checkpoint stored alongside \p key's record, or
   /// nullptr when the key is absent or was inserted without one. Does not
   /// touch the hit/miss counters or the LRU order: this is the internal
   /// assist the service uses to summarize a (task, k) miss incrementally
   /// from the (task, k−1) entry, not a cache answer.
   std::shared_ptr<const core::SummaryChain> LookupChain(const CacheKey& key);
 
-  /// Inserts \p summary under \p key (no-op if the key already holds a
-  /// summary — first writer wins, so concurrent single-flight losers
+  /// Inserts \p record under \p key (no-op if the key already holds a
+  /// record — first writer wins, so concurrent single-flight losers
   /// don't churn the LRU list; a chain-only placeholder from a drain
   /// handoff *is* upgraded in place, keeping its imported chain when the
   /// writer brings none). Evicts LRU entries until the shard fits its
@@ -132,13 +192,13 @@ class SummaryCache {
   /// fingerprint (`UnitFingerprint`) so a drain can hand the chain to
   /// the ring inheritor (0 = untagged, not exportable).
   void Insert(const CacheKey& key,
-              std::shared_ptr<const core::Summary> summary,
+              std::shared_ptr<const SummaryRecord> record,
               std::shared_ptr<const core::SummaryChain> chain = nullptr,
               uint64_t route_key = 0);
 
-  /// Inserts \p chain as a summary-less placeholder entry (a drained
+  /// Inserts \p chain as a record-less placeholder entry (a drained
   /// peer's checkpoint import): `Lookup` misses it, `LookupChain` serves
-  /// it, and the next computed summary for the key upgrades it in place.
+  /// it, and the next computed record for the key upgrades it in place.
   /// An existing entry that already carries a chain wins over the import.
   void InsertChainOnly(const CacheKey& key,
                        std::shared_ptr<const core::SummaryChain> chain,
@@ -167,7 +227,7 @@ class SummaryCache {
   struct Entry {
     CacheKey key;
     /// Null for a chain-only placeholder (imported drain checkpoint).
-    std::shared_ptr<const core::Summary> summary;
+    std::shared_ptr<const SummaryRecord> record;
     /// Chain checkpoint of the chained-summarization path (may be null).
     std::shared_ptr<const core::SummaryChain> chain;
     /// `UnitFingerprint` of the request that produced the entry; 0 when

@@ -149,8 +149,9 @@ const std::vector<EnvVarInfo>& EnvVarCatalog() {
       {"XSUM_TRACE", "int", "1", "0 or 1", "xsum_server serve",
        "per-request tracing: X-Xsum-Trace propagation, spans, /traces log"},
       {"XSUM_EVAL_STATS", "int", "1", "0 or 1", "xsum_server serve",
-       "evaluate every served summary into the mergeable /evalstats "
-       "sufficient statistics (eval/eval_stats.h)"},
+       "fold every served summary into the mergeable /evalstats "
+       "sufficient statistics (eval/eval_stats.h); each cached summary is "
+       "evaluated once, on its first serve"},
       {"XSUM_TRACE_RECORD", "string", "\"\" (disabled)", "file path",
        "xsum_server serve",
        "record every answered /summarize to this replay-trace JSONL file"},

@@ -96,10 +96,10 @@ TEST(BatchWindowTest, SequentialRequestsStayByteIdenticalWithWindowOn) {
     const auto b = batched.Summarize(task, options);
     ASSERT_TRUE(a.ok()) << a.status();
     ASSERT_TRUE(b.ok()) << b.status();
-    ExpectIdentical(**a, **b);
+    ExpectIdentical((*a)->summary(), (*b)->summary());
     const auto fresh = core::Summarize(h.runner->rec_graph(), task, options);
     ASSERT_TRUE(fresh.ok());
-    ExpectIdentical(*fresh, **b);
+    ExpectIdentical(*fresh, (*b)->summary());
   }
   // No concurrent misses -> no waves, but every request went through the
   // window machinery without dropping a response.
@@ -122,7 +122,7 @@ TEST(BatchWindowTest, ConcurrentDistinctMissesCoalesceIntoWaves) {
 
   const auto kmb = KmbOptions();
   const std::vector<core::SummaryTask> tasks = h.DistinctTasks(kThreads);
-  std::vector<std::shared_ptr<const core::Summary>> results(kThreads);
+  std::vector<std::shared_ptr<const SummaryRecord>> results(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
@@ -141,7 +141,7 @@ TEST(BatchWindowTest, ConcurrentDistinctMissesCoalesceIntoWaves) {
     const auto fresh =
         core::Summarize(h.runner->rec_graph(), tasks[t], kmb);
     ASSERT_TRUE(fresh.ok());
-    ExpectIdentical(*fresh, *results[t]);
+    ExpectIdentical(*fresh, results[t]->summary());
   }
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.requests, kThreads);
@@ -175,7 +175,7 @@ TEST(BatchWindowTest, IneligibleMethodBypassesTheWindow) {
     ASSERT_TRUE(result.ok()) << result.status();
     const auto fresh = core::Summarize(h.runner->rec_graph(), task, pcst);
     ASSERT_TRUE(fresh.ok());
-    ExpectIdentical(*fresh, **result);
+    ExpectIdentical(*fresh, (*result)->summary());
   }
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.batch_waves, 0u);
@@ -197,7 +197,7 @@ TEST(BatchWindowTest, BatchMaxTwoServesManyConcurrentMissesCorrectly) {
 
   const auto kmb = KmbOptions();
   const std::vector<core::SummaryTask> tasks = h.DistinctTasks(kThreads);
-  std::vector<std::shared_ptr<const core::Summary>> results(kThreads);
+  std::vector<std::shared_ptr<const SummaryRecord>> results(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (size_t t = 0; t < kThreads; ++t) {
@@ -214,7 +214,7 @@ TEST(BatchWindowTest, BatchMaxTwoServesManyConcurrentMissesCorrectly) {
     const auto fresh =
         core::Summarize(h.runner->rec_graph(), tasks[t], kmb);
     ASSERT_TRUE(fresh.ok());
-    ExpectIdentical(*fresh, *results[t]);
+    ExpectIdentical(*fresh, results[t]->summary());
   }
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.requests, kThreads);

@@ -190,7 +190,8 @@ TEST_F(ChainTransferTest, ImportedChainsKeepIncrementalReuseAliveElsewhere) {
     SummaryService fresh(registry_);
     const auto direct = fresh.Summarize(*task, RequestOptions(request));
     ASSERT_TRUE(direct.ok()) << direct.status();
-    EXPECT_EQ(SummaryToJson(**result, 1), SummaryToJson(**direct, 1));
+    EXPECT_EQ(SummaryToJson((*result)->summary(), 1),
+              SummaryToJson((*direct)->summary(), 1));
   }
   EXPECT_GT(dest.Stats().incremental, before)
       << "imported checkpoints never fed an incremental compute";

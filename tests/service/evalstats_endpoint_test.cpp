@@ -5,13 +5,21 @@
 /// the router's fleet-merged `/evalstats` equals both the exact sum of
 /// the per-shard scrapes and the single-process reference. This is the
 /// distributed-evaluation acceptance property of the replay PR.
+///
+/// A cached record is evaluated once, on its first serve, and every later
+/// serve folds its stored values: the accumulator equals evaluating every
+/// serve, and `eval_evaluations` counts the evaluations actually run.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/summarizer.h"
+#include "data/kg_builder.h"
+#include "data/weights.h"
 #include "eval/eval_stats.h"
 #include "eval/experiment.h"
 #include "eval/runner.h"
@@ -111,6 +119,34 @@ class EvalStatsEndpointTest : public ::testing::Test {
     return requests;
   }
 
+  /// One user-centric request of the first catalog unit.
+  static SummaryRequest Request(core::SummaryMethod method) {
+    SummaryRequest request;
+    request.unit = catalog_->entries().front().unit;
+    request.k = 3;
+    request.method = method;
+    return request;
+  }
+
+  static const core::SummaryTask& TaskOf(const SummaryRequest& request) {
+    return *catalog_->Find(request.scenario, request.unit, request.k);
+  }
+
+  /// A fresh single-shot summary of \p request over \p graph.
+  static core::Summary Fresh(const data::RecGraph& graph,
+                             const SummaryRequest& request) {
+    auto summary =
+        core::Summarize(graph, TaskOf(request), RequestOptions(request));
+    EXPECT_TRUE(summary.ok()) << summary.status();
+    return summary.ok() ? std::move(*summary) : core::Summary{};
+  }
+
+  static uint64_t Evaluations(const SummaryService& service) {
+    const obs::MetricsSnapshot metrics = service.Metrics();
+    const auto it = metrics.counters.find("eval_evaluations");
+    return it == metrics.counters.end() ? 0 : it->second;
+  }
+
   static eval::EvalStatsSnapshot ScrapeEvalStats(uint16_t port) {
     const auto response =
         net::HttpFetch("127.0.0.1", port, "GET", "/evalstats");
@@ -185,6 +221,145 @@ TEST_F(EvalStatsEndpointTest, DisablingEvalStopsAccumulation) {
   handler.set_eval_enabled(true);
   ASSERT_EQ(handler.Summarize(request).status, 200);
   EXPECT_EQ(handler.EvalSnapshot().summaries, 1u);
+}
+
+TEST_F(EvalStatsEndpointTest, CachedRecordIsEvaluatedOnceAndFoldedPerServe) {
+  SummaryService service(registry_);
+  SummaryHandler handler(&service, catalog_);
+  const SummaryRequest st = Request(core::SummaryMethod::kSteiner);
+  const SummaryRequest pcst = Request(core::SummaryMethod::kPcst);
+  constexpr int kServes = 5;
+  for (int i = 0; i < kServes; ++i) {
+    ASSERT_EQ(handler.Summarize(st).status, 200);
+    ASSERT_EQ(handler.Summarize(pcst).status, 200);
+  }
+
+  // The reference evaluates every serve from scratch: the stored values
+  // are the same doubles, folded the same number of times.
+  const data::RecGraph& graph = runner_->rec_graph();
+  const core::Summary st_summary = Fresh(graph, st);
+  const core::Summary pcst_summary = Fresh(graph, pcst);
+  eval::EvalAccumulator reference;
+  for (int i = 0; i < kServes; ++i) {
+    reference.RecordSummary(graph, st_summary);
+    reference.RecordSummary(graph, pcst_summary);
+  }
+  const eval::EvalStatsSnapshot served = handler.EvalSnapshot();
+  EXPECT_EQ(served, reference.Snapshot());
+  EXPECT_EQ(served.summaries, 2u * kServes);
+  EXPECT_EQ(served.skipped, 0u);
+  // One evaluation per cached record, not one per serve.
+  EXPECT_EQ(Evaluations(service), 2u);
+
+  net::HttpRequest get;
+  get.method = "GET";
+  get.target = "/metrics";
+  EXPECT_NE(handler.Handle(get).body.find("xsum_eval_evaluations_total 2\n"),
+            std::string::npos);
+}
+
+TEST_F(EvalStatsEndpointTest, ConcurrentFirstServesEvaluateOnce) {
+  SummaryService service(registry_);
+  SummaryHandler handler(&service, catalog_);
+  const SummaryRequest pcst = Request(core::SummaryMethod::kPcst);
+  constexpr int kThreads = 8;
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back(
+        [&] { EXPECT_EQ(handler.Summarize(pcst).status, 200); });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const data::RecGraph& graph = runner_->rec_graph();
+  const core::Summary summary = Fresh(graph, pcst);
+  eval::EvalAccumulator reference;
+  for (int t = 0; t < kThreads; ++t) reference.RecordSummary(graph, summary);
+  EXPECT_EQ(handler.EvalSnapshot(), reference.Snapshot());
+  EXPECT_EQ(Evaluations(service), 1u);
+}
+
+TEST_F(EvalStatsEndpointTest, PublishEvaluatesTheKeyOnceMoreOnTheNewGraph) {
+  // A refresh graph over the same dataset (recency-aware weights): the
+  // catalog's tasks stay valid, but relevance reads different weights.
+  data::WeightParams refresh_params;
+  refresh_params.beta2 = 1.0;
+  refresh_params.t0 = runner_->dataset().t0;
+  auto built = data::BuildRecGraph(runner_->dataset(), refresh_params);
+  ASSERT_TRUE(built.ok()) << built.status();
+  const auto refresh =
+      std::make_shared<const data::RecGraph>(std::move(built).ValueOrDie());
+  const data::RecGraph& base = runner_->rec_graph();
+
+  GraphSnapshotRegistry registry;
+  registry.Publish(GraphSnapshotRegistry::Alias(base));
+  SummaryService service(&registry);
+  SummaryHandler handler(&service, catalog_, [&]() -> Result<uint64_t> {
+    return registry.Publish(refresh);
+  });
+  const SummaryRequest st = Request(core::SummaryMethod::kSteiner);
+  const SummaryRequest pcst = Request(core::SummaryMethod::kPcst);
+  constexpr int kBefore = 3;
+  constexpr int kAfter = 2;
+  for (int i = 0; i < kBefore; ++i) {
+    ASSERT_EQ(handler.Summarize(st).status, 200);
+    ASSERT_EQ(handler.Summarize(pcst).status, 200);
+  }
+  net::HttpRequest publish;
+  publish.method = "POST";
+  publish.target = "/snapshot";
+  ASSERT_EQ(handler.Handle(publish).status, 200);
+  for (int i = 0; i < kAfter; ++i) {
+    ASSERT_EQ(handler.Summarize(st).status, 200);
+    ASSERT_EQ(handler.Summarize(pcst).status, 200);
+  }
+
+  eval::EvalAccumulator reference;
+  eval::EvalAccumulator stale;  // the v2 serves scored on the old graph
+  for (const SummaryRequest& request : {st, pcst}) {
+    const core::Summary before = Fresh(base, request);
+    const core::Summary after = Fresh(*refresh, request);
+    for (int i = 0; i < kBefore; ++i) {
+      reference.RecordSummary(base, before);
+      stale.RecordSummary(base, before);
+    }
+    for (int i = 0; i < kAfter; ++i) {
+      reference.RecordSummary(*refresh, after);
+      stale.RecordSummary(base, after);
+    }
+  }
+  const eval::EvalStatsSnapshot served = handler.EvalSnapshot();
+  EXPECT_EQ(served, reference.Snapshot());
+  EXPECT_NE(served, stale.Snapshot()) << "refresh graph changed no value";
+  EXPECT_EQ(served.skipped, 0u);
+  // Each key once per snapshot version.
+  EXPECT_EQ(Evaluations(service), 4u);
+}
+
+TEST_F(EvalStatsEndpointTest, RouterMergesEvalEvaluationsAcrossShards) {
+  auto shard_a = StartShard();
+  auto shard_b = StartShard();
+  ShardRouter::Options options;
+  options.endpoints = {shard_a->endpoint(), shard_b->endpoint()};
+  options.hedge = false;
+  options.health_probes = false;
+  ShardRouter router(nullptr, options);
+
+  // Every key served twice: the repeat folds the record's stored values.
+  const std::vector<SummaryRequest> stream = Stream();
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const SummaryRequest& request : stream) {
+      ASSERT_EQ(router.Summarize(request).status, 200);
+    }
+  }
+  const uint64_t a = Evaluations(*shard_a->service);
+  const uint64_t b = Evaluations(*shard_b->service);
+  EXPECT_EQ(router.FleetMetrics().counters["eval_evaluations"], a + b);
+  EXPECT_EQ(a + b, stream.size());
+  EXPECT_EQ(router.FleetEvalStats().summaries, 2 * stream.size());
+
+  shard_a->server->Stop();
+  shard_b->server->Stop();
 }
 
 TEST_F(EvalStatsEndpointTest, ShardSplitOfARealStreamMergesBitIdentically) {

@@ -108,7 +108,7 @@ TEST(SummaryServiceTest, CachedBitIdenticalToFreshAcrossMethodsAndScenarios) {
       // single-shot Summarize on the same graph.
       const auto fresh = core::Summarize(runner.rec_graph(), task, method);
       ASSERT_TRUE(fresh.ok()) << fresh.status();
-      ExpectIdentical(*fresh, **first);
+      ExpectIdentical(*fresh, (*first)->summary());
 
       // The repeat is served from the cache: same shared object, no new
       // engine run.
@@ -156,7 +156,7 @@ TEST(SummaryServiceTest, SnapshotSwapNeverServesStaleEntries) {
   ASSERT_TRUE(on_a.ok()) << on_a.status();
   const auto fresh_a = core::Summarize(*graph_a, task, st);
   ASSERT_TRUE(fresh_a.ok());
-  ExpectIdentical(*fresh_a, **on_a);
+  ExpectIdentical(*fresh_a, (*on_a)->summary());
 
   ASSERT_EQ(registry.Publish(graph_b), 2u);
   const auto on_b = service.Summarize(task, st);
@@ -165,7 +165,7 @@ TEST(SummaryServiceTest, SnapshotSwapNeverServesStaleEntries) {
   ASSERT_TRUE(fresh_b.ok());
   // The version-2 request was recomputed on graph B — not served from the
   // version-1 entry (its key can no longer match).
-  ExpectIdentical(*fresh_b, **on_b);
+  ExpectIdentical(*fresh_b, (*on_b)->summary());
 
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.computed, 2u);
@@ -196,7 +196,7 @@ TEST(SummaryServiceTest, SingleFlightCoalescesConcurrentIdenticalRequests) {
   SummaryService service(&registry, options);
 
   constexpr int kThreads = 8;
-  std::vector<std::shared_ptr<const core::Summary>> results(kThreads);
+  std::vector<std::shared_ptr<const SummaryRecord>> results(kThreads);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -217,7 +217,7 @@ TEST(SummaryServiceTest, SingleFlightCoalescesConcurrentIdenticalRequests) {
             static_cast<uint64_t>(kThreads - 1));
   for (const auto& result : results) {
     ASSERT_NE(result, nullptr);
-    ExpectIdentical(*results[0], *result);
+    ExpectIdentical(results[0]->summary(), result->summary());
   }
 }
 
@@ -241,7 +241,7 @@ TEST(SummaryServiceTest, CacheDisabledAlwaysComputes) {
   const auto second = service.Summarize(task, st);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
-  ExpectIdentical(**first, **second);
+  ExpectIdentical((*first)->summary(), (*second)->summary());
   const ServiceStats stats = service.Stats();
   EXPECT_EQ(stats.computed, 2u);
   EXPECT_EQ(stats.cache.hits, 0u);
@@ -340,7 +340,7 @@ TEST(SummaryServiceTest, PredecessorHintSummarizesIncrementallyBitIdentical) {
     // Property: the hinted answer is bit-identical to a fresh one-shot.
     const auto fresh = core::Summarize(runner.rec_graph(), task, st);
     ASSERT_TRUE(fresh.ok());
-    ExpectIdentical(*fresh, **incremental);
+    ExpectIdentical(*fresh, (*incremental)->summary());
     prev_task = task;
     predecessor = &prev_task;
   }
@@ -359,7 +359,7 @@ TEST(SummaryServiceTest, PredecessorHintSummarizesIncrementallyBitIdentical) {
   const auto hinted = service.Summarize(task, st, &unrelated);
   const auto fresh = core::Summarize(runner.rec_graph(), task, st);
   ASSERT_TRUE(hinted.ok() && fresh.ok());
-  ExpectIdentical(*fresh, **hinted);
+  ExpectIdentical(*fresh, (*hinted)->summary());
 }
 
 }  // namespace

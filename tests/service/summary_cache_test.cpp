@@ -1,10 +1,13 @@
 /// Unit tests of the service-layer building blocks: cache-key
 /// fingerprinting (sensitivity to every knob that changes summary bits),
-/// the sharded LRU byte budget, and snapshot registry version pinning.
+/// the sharded LRU byte budget, the summary record's write-once
+/// evaluation slot, and snapshot registry version pinning.
 
 #include "service/summary_cache.h"
 
+#include <atomic>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -98,10 +101,10 @@ TEST(FingerprintTest, DeterministicAndSensitive) {
   }
 }
 
-std::shared_ptr<const core::Summary> DummySummary(size_t num_nodes) {
-  auto summary = std::make_shared<core::Summary>();
-  summary->terminals.assign(num_nodes, 1);
-  return summary;
+std::shared_ptr<const SummaryRecord> DummyRecord(size_t num_nodes) {
+  core::Summary summary;
+  summary.terminals.assign(num_nodes, 1);
+  return std::make_shared<const SummaryRecord>(std::move(summary));
 }
 
 CacheKey Key(uint64_t version, uint64_t fp) {
@@ -115,10 +118,10 @@ CacheKey Key(uint64_t version, uint64_t fp) {
 TEST(SummaryCacheTest, HitMissAndCounters) {
   SummaryCache cache;
   EXPECT_EQ(cache.Lookup(Key(1, 7)), nullptr);
-  cache.Insert(Key(1, 7), DummySummary(4));
+  cache.Insert(Key(1, 7), DummyRecord(4));
   const auto hit = cache.Lookup(Key(1, 7));
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->terminals.size(), 4u);
+  EXPECT_EQ(hit->summary().terminals.size(), 4u);
   // Same fingerprint under another snapshot version is a different entry.
   EXPECT_EQ(cache.Lookup(Key(2, 7)), nullptr);
 
@@ -133,11 +136,11 @@ TEST(SummaryCacheTest, HitMissAndCounters) {
 
 TEST(SummaryCacheTest, FirstWriterWins) {
   SummaryCache cache;
-  cache.Insert(Key(1, 7), DummySummary(4));
-  cache.Insert(Key(1, 7), DummySummary(9));  // single-flight loser: ignored
+  cache.Insert(Key(1, 7), DummyRecord(4));
+  cache.Insert(Key(1, 7), DummyRecord(9));  // single-flight loser: ignored
   const auto hit = cache.Lookup(Key(1, 7));
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->terminals.size(), 4u);
+  EXPECT_EQ(hit->summary().terminals.size(), 4u);
   EXPECT_EQ(cache.stats().insertions, 1u);
 }
 
@@ -145,14 +148,14 @@ TEST(SummaryCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   SummaryCache::Options options;
   options.num_shards = 1;  // deterministic single LRU list
   // Room for exactly two dummy entries (96 covers per-entry bookkeeping:
-  // key, summary/chain pointers, route key, byte count).
-  options.max_bytes = 2 * (SummaryFootprintBytes(*DummySummary(8)) + 96);
+  // key, record/chain pointers, route key, byte count).
+  options.max_bytes = 2 * (DummyRecord(8)->MemoryFootprintBytes() + 96);
   SummaryCache cache(options);
 
-  cache.Insert(Key(1, 1), DummySummary(8));
-  cache.Insert(Key(1, 2), DummySummary(8));
+  cache.Insert(Key(1, 1), DummyRecord(8));
+  cache.Insert(Key(1, 2), DummyRecord(8));
   ASSERT_NE(cache.Lookup(Key(1, 1)), nullptr);  // 1 becomes MRU, 2 is LRU
-  cache.Insert(Key(1, 3), DummySummary(8));     // evicts 2
+  cache.Insert(Key(1, 3), DummyRecord(8));     // evicts 2
 
   EXPECT_NE(cache.Lookup(Key(1, 1)), nullptr);
   EXPECT_EQ(cache.Lookup(Key(1, 2)), nullptr);
@@ -162,7 +165,7 @@ TEST(SummaryCacheTest, EvictsLeastRecentlyUsedUnderByteBudget) {
   EXPECT_LE(stats.bytes, stats.max_bytes);
 
   // A value bigger than the whole budget is rejected, not force-fitted.
-  cache.Insert(Key(1, 4), DummySummary(100000));
+  cache.Insert(Key(1, 4), DummyRecord(100000));
   EXPECT_EQ(cache.Lookup(Key(1, 4)), nullptr);
   EXPECT_GE(cache.stats().rejected, 1u);
 }
@@ -171,19 +174,50 @@ TEST(SummaryCacheTest, EvictionDoesNotInvalidateHeldResults) {
   SummaryCache::Options options;
   options.num_shards = 1;
   // Room for exactly one dummy entry.
-  options.max_bytes = SummaryFootprintBytes(*DummySummary(8)) + 128;
+  options.max_bytes = DummyRecord(8)->MemoryFootprintBytes() + 128;
   SummaryCache cache(options);
-  cache.Insert(Key(1, 1), DummySummary(8));
+  cache.Insert(Key(1, 1), DummyRecord(8));
   const auto held = cache.Lookup(Key(1, 1));
   ASSERT_NE(held, nullptr);
-  cache.Insert(Key(1, 2), DummySummary(8));  // evicts entry 1
+  cache.Insert(Key(1, 2), DummyRecord(8));  // evicts entry 1
   EXPECT_EQ(cache.Lookup(Key(1, 1)), nullptr);
-  EXPECT_EQ(held->terminals.size(), 8u);  // still alive and untouched
+  EXPECT_EQ(held->summary().terminals.size(), 8u);  // alive and untouched
+}
+
+TEST(SummaryRecordTest, SlotFillsAtMostOnceUnderConcurrentServes) {
+  const auto record = DummyRecord(4);
+  EXPECT_EQ(record->metric_values(), nullptr);
+  // The record's accounted bytes cover its slot, not just the summary.
+  EXPECT_GE(record->MemoryFootprintBytes(),
+            SummaryFootprintBytes(record->summary()) +
+                sizeof(eval::SummaryMetricValues));
+
+  constexpr int kThreads = 8;
+  std::atomic<int> evaluations{0};
+  std::vector<double> seen(kThreads, 0.0);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      seen[t] = record
+                    ->FillMetricValues([&] {
+                      eval::SummaryMetricValues values;
+                      values.diversity = 1.0 + evaluations.fetch_add(1);
+                      return values;
+                    })
+                    .diversity;
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(evaluations.load(), 1);
+  for (const double diversity : seen) EXPECT_EQ(diversity, 1.0);
+  ASSERT_NE(record->metric_values(), nullptr);
+  EXPECT_EQ(record->metric_values()->diversity, 1.0);
 }
 
 TEST(SummaryCacheTest, ClearDropsEntriesKeepsCounters) {
   SummaryCache cache;
-  cache.Insert(Key(1, 1), DummySummary(2));
+  cache.Insert(Key(1, 1), DummyRecord(2));
   ASSERT_NE(cache.Lookup(Key(1, 1)), nullptr);
   cache.Clear();
   EXPECT_EQ(cache.Lookup(Key(1, 1)), nullptr);
@@ -217,10 +251,10 @@ TEST(SummaryCacheTest, InsertUpgradesPlaceholderInPlaceKeepingItsChain) {
   cache.InsertChainOnly(Key(1, 7), DummyChain(3), 0xBEEF);
   // The computed summary arrives without a chain of its own (a plain
   // from-scratch compute): the imported checkpoint must survive.
-  cache.Insert(Key(1, 7), DummySummary(4));
+  cache.Insert(Key(1, 7), DummyRecord(4));
   const auto hit = cache.Lookup(Key(1, 7));
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->terminals.size(), 4u);
+  EXPECT_EQ(hit->summary().terminals.size(), 4u);
   const auto chain = cache.LookupChain(Key(1, 7));
   ASSERT_NE(chain, nullptr);
   EXPECT_EQ(chain->links, 3u);
@@ -228,20 +262,20 @@ TEST(SummaryCacheTest, InsertUpgradesPlaceholderInPlaceKeepingItsChain) {
 
 TEST(SummaryCacheTest, ResidentChainWinsOverAChainOnlyImport) {
   SummaryCache cache;
-  cache.Insert(Key(1, 7), DummySummary(4), DummyChain(9), 0xA);
+  cache.Insert(Key(1, 7), DummyRecord(4), DummyChain(9), 0xA);
   // A drained peer's import for a key we already have state for loses.
   cache.InsertChainOnly(Key(1, 7), DummyChain(1), 0xB);
   const auto chain = cache.LookupChain(Key(1, 7));
   ASSERT_NE(chain, nullptr);
   EXPECT_EQ(chain->links, 9u);
-  ASSERT_NE(cache.Lookup(Key(1, 7)), nullptr) << "summary not clobbered";
+  ASSERT_NE(cache.Lookup(Key(1, 7)), nullptr) << "record not clobbered";
 }
 
 TEST(SummaryCacheTest, ExportChainsReturnsOnlyRouteTaggedChainEntries) {
   SummaryCache cache;
-  cache.Insert(Key(1, 1), DummySummary(4));                   // no chain
-  cache.Insert(Key(1, 2), DummySummary(4), DummyChain(1));    // no route key
-  cache.Insert(Key(1, 3), DummySummary(4), DummyChain(2), 0xCAFE);
+  cache.Insert(Key(1, 1), DummyRecord(4));                   // no chain
+  cache.Insert(Key(1, 2), DummyRecord(4), DummyChain(1));    // no route key
+  cache.Insert(Key(1, 3), DummyRecord(4), DummyChain(2), 0xCAFE);
   cache.InsertChainOnly(Key(1, 4), DummyChain(3), 0xF00D);
   const auto exports = cache.ExportChains();
   ASSERT_EQ(exports.size(), 2u);
