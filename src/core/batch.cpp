@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <cstring>
 #include <numeric>
+#include <optional>
 
 #include "core/baseline.h"
 #include "core/incremental.h"
@@ -15,92 +15,26 @@ namespace xsum::core {
 
 namespace {
 
-double ScaleWeight(double w, CostMode mode) {
-  if (mode == CostMode::kWeightAwareLog) return std::log1p(std::max(w, 0.0));
-  return w;
-}
-
-/// Cached equivalent of `WeightsToCostsInto(ctx.adjusted_weights, mode,
-/// out)`: identical output bits, but the O(|E|) scale pass over the base
-/// weights runs once per (graph, mode) instead of once per task — only the
-/// Eq.-(1)-touched edges are re-scaled. The cache is validated with a
-/// bitwise compare of the base weights, so a context reused across graphs
-/// (of any sizes) transparently rebuilds.
-void CostsFromAdjusted(const std::vector<double>& base_weights, CostMode mode,
-                       SummarizeContext& ctx, std::vector<double>* out) {
-  const std::vector<double>& adjusted = ctx.adjusted_weights;
-  if (mode == CostMode::kUnit) {
-    out->assign(adjusted.size(), 1.0);
-    return;
-  }
-  if (adjusted.empty()) {
-    out->clear();
-    return;
-  }
-  if (ctx.cost_cache_mode != static_cast<int>(mode) ||
-      ctx.cost_cache_base != base_weights) {
-    ctx.cost_cache_base = base_weights;
-    ctx.cost_cache_scaled.resize(base_weights.size());
-    for (size_t e = 0; e < base_weights.size(); ++e) {
-      ctx.cost_cache_scaled[e] = ScaleWeight(base_weights[e], mode);
-    }
-    ctx.cost_cache_mode = static_cast<int>(mode);
-  }
-  // scale() is non-decreasing, so the scaled extremes are the scaled
-  // images of the raw extremes — same reduction as WeightsToCostsInto.
-  const auto [min_it, max_it] =
-      std::minmax_element(adjusted.begin(), adjusted.end());
-  const double w_min = ScaleWeight(*min_it, mode);
-  const double w_max = ScaleWeight(*max_it, mode);
-  const double span = w_max - w_min;
-  if (span <= 0.0) {
-    out->assign(adjusted.size(), 1.0);
-    return;
-  }
-  out->resize(adjusted.size());
-  for (size_t e = 0; e < adjusted.size(); ++e) {
-    (*out)[e] = 1.0 + (w_max - ctx.cost_cache_scaled[e]) / span;
-  }
-  for (graph::EdgeId e : ctx.touched_edges) {
-    (*out)[e] = 1.0 + (w_max - ScaleWeight(adjusted[e], mode)) / span;
-  }
-}
-
 /// Resolves the cost view an ST task runs under. Zero-overlay tasks (no
 /// input path touched an edge — then `adjusted_weights` is bitwise equal
 /// to the base weights) and all `kUnit` tasks read the shared prebuilt
-/// view; overlay tasks rebuild the context-local view in place. Either
-/// way the values are bit-identical to `WeightsToCostsInto` over the
-/// adjusted weights. \p overlay_is_noop lets the chained path extend the
-/// shared-view fast path to tasks whose overlay touched edges *without
+/// view; overlay tasks have theirs written into the context-local view.
+/// Either way the values are bit-identical to `WeightsToCostsInto` over
+/// the adjusted weights. \p overlay_is_noop lets the chained path extend
+/// the shared-view fast path to tasks whose overlay touched edges *without
 /// moving any value* (a λ = 0 sweep: the cost signature proved
-/// adjusted == base bitwise, so the rebuild would reproduce the shared
+/// adjusted == base bitwise, so the rewrite would reproduce the shared
 /// view exactly).
-const graph::CostView& SteinerCostView(const data::RecGraph& rec_graph,
-                                       CostMode mode, SummarizeContext& ctx,
-                                       const SharedCostViews* shared,
+const graph::CostView& SteinerCostView(CostMode mode, SummarizeContext& ctx,
+                                       const SharedCostViews& shared,
                                        bool overlay_is_noop = false) {
-  const bool zero_overlay = ctx.touched_edges.empty() || overlay_is_noop;
-  if (shared != nullptr && (mode == CostMode::kUnit || zero_overlay)) {
-    return shared->ForMode(mode);
+  if (mode == CostMode::kUnit || ctx.touched_edges.empty() ||
+      overlay_is_noop) {
+    return shared.ForMode(mode);
   }
-  std::vector<double>& out = ctx.cost_view.StartAssign(rec_graph.graph());
-  CostsFromAdjusted(rec_graph.base_weights(), mode, ctx, &out);
-  ctx.cost_view.Commit();
+  shared.WriteOverlay(mode, ctx.adjusted_weights, ctx.touched_edges,
+                      &ctx.cost_view);
   return ctx.cost_view;
-}
-
-/// Resolves the cost view a PCST task runs under: the shared all-ones view
-/// when available, the context-local one otherwise. The ablation path that
-/// costs edges by their raw weights goes through the compat `PcstSummary`
-/// overload instead (it is exercised once per ablation run, not on the
-/// serving path).
-const graph::CostView& PcstCostView(const data::RecGraph& rec_graph,
-                                    SummarizeContext& ctx,
-                                    const SharedCostViews* shared) {
-  if (shared != nullptr) return shared->unit();
-  ctx.unit_view.AssignUnit(rec_graph.graph());
-  return ctx.unit_view;
 }
 
 uint64_t DoubleBits(double v) {
@@ -135,9 +69,6 @@ CostSignature SteinerCostSignature(const data::RecGraph& rec_graph,
     return sig;
   }
   std::sort(sig.deviations.begin(), sig.deviations.end());
-  sig.deviations.erase(
-      std::unique(sig.deviations.begin(), sig.deviations.end()),
-      sig.deviations.end());
   sig.kind = CostSignature::Kind::kOverlay;
   return sig;
 }
@@ -193,6 +124,9 @@ Result<Summary> SummarizeChained(const data::RecGraph& rec_graph,
     return Status::InvalidArgument(
         "SummarizeWith: shared cost views built for a different graph");
   }
+  std::optional<SharedCostViews> local_views;
+  const SharedCostViews& views =
+      shared_views != nullptr ? *shared_views : local_views.emplace(rec_graph);
 
   WallTimer timer;
   timer.Start();
@@ -221,7 +155,7 @@ Result<Summary> SummarizeChained(const data::RecGraph& rec_graph,
         sig = SteinerCostSignature(rec_graph, options.cost_mode, ctx);
       }
       const graph::CostView& costs = SteinerCostView(
-          rec_graph, options.cost_mode, ctx, shared_views,
+          options.cost_mode, ctx, views,
           /*overlay_is_noop=*/chain_kmb &&
               sig.kind != CostSignature::Kind::kOverlay);
       SteinerResult st;
@@ -298,9 +232,8 @@ Result<Summary> SummarizeChained(const data::RecGraph& rec_graph,
           options.pcst.use_edge_weights
               ? PcstSummary(g, rec_graph.base_weights(), task.terminals,
                             options.pcst, &ctx.workspace)
-              : PcstSummary(PcstCostView(rec_graph, ctx, shared_views),
-                            rec_graph.base_weights(), task.terminals,
-                            options.pcst, &ctx.workspace));
+              : PcstSummary(views.unit(), rec_graph.base_weights(),
+                            task.terminals, options.pcst, &ctx.workspace));
       summary.subgraph = std::move(pc.tree);
       summary.unreached_terminals = std::move(pc.unreached_terminals);
       FinalizeSummaryPerf(timer, pc.workspace_bytes, &summary);

@@ -8,10 +8,12 @@
 /// is epoch-reset between tasks, and `BatchSummarizer` owns one context per
 /// worker plus a thread pool and the graph's shared base cost views
 /// (`SharedCostViews`), so a stream of tasks runs allocation-free and in
-/// parallel — zero-overlay tasks do not even rebuild costs. Results are
-/// bit-identical to single-shot `Summarize` calls — both run the same code
-/// path; the workspace epochs and view reuse only change *when* memory is
-/// recycled, never what a query observes. See DESIGN.md §2 and §4.
+/// parallel — zero-overlay tasks do not even rebuild costs, and overlay
+/// tasks rewrite theirs in one pass from the shared scaled base weights.
+/// Results are bit-identical to single-shot `Summarize` calls — both run
+/// the same code path; the workspace epochs and view reuse only change
+/// *when* memory is recycled, never what a query observes. See DESIGN.md
+/// §2 and §4.
 
 #ifndef XSUM_CORE_BATCH_H_
 #define XSUM_CORE_BATCH_H_
@@ -35,7 +37,7 @@ struct SummaryChain;  // incremental.h
 /// \brief Reusable per-worker scratch state for `SummarizeWith`.
 ///
 /// Holds the graph-search workspace plus the Eq. (1) weight-adjustment
-/// buffers and the task-local cost views. Reusable across tasks, methods,
+/// buffers and the task-local cost view. Reusable across tasks, methods,
 /// and graphs of different sizes (capacity grows monotonically). Not
 /// thread-safe: one context per worker.
 struct SummarizeContext {
@@ -46,36 +48,22 @@ struct SummarizeContext {
   /// Eq. (1) output (|E| doubles).
   std::vector<double> adjusted_weights;
   /// Edge-occurrence scratch for `AdjustWeightsInto` (all-zero between
-  /// calls) and the list of edges it touched.
+  /// calls) and the distinct edges it touched.
   std::vector<uint32_t> edge_counts;
   std::vector<graph::EdgeId> touched_edges;
 
-  /// Task-local cost view, rebuilt in place (capacity retained) for tasks
-  /// whose Eq. (1) overlay actually changes costs. Zero-overlay tasks
-  /// borrow a shared prebuilt view instead and never touch this.
+  /// Task-local cost view, rewritten in place (capacity retained) by
+  /// `SharedCostViews::WriteOverlay` for tasks whose Eq. (1) overlay
+  /// actually changes costs. Zero-overlay tasks borrow the shared base view
+  /// instead and never touch this.
   graph::CostView cost_view;
-  /// All-ones view for PCST callers without shared views (rebuilt per
-  /// call; the engine path always has shared views and skips it).
-  graph::CostView unit_view;
-
-  /// Cost-transform cache: the base weights Eq. (1) starts from change only
-  /// when the graph changes, so their scaled images (the log1p pass of
-  /// `CostMode::kWeightAwareLog` — the most expensive per-edge op in the
-  /// whole pipeline) are computed once and revalidated with a bitwise
-  /// compare. Per task only the few path-touched edges are re-scaled.
-  std::vector<double> cost_cache_base;    ///< base weights the cache is for
-  std::vector<double> cost_cache_scaled;  ///< scale(base) per edge
-  int cost_cache_mode = -1;               ///< CostMode of the cache, or -1
 
   /// Resident bytes of all retained buffers.
   size_t MemoryFootprintBytes() const {
     return workspace.MemoryFootprintBytes() +
            multi_query.MemoryFootprintBytes() +
-           (adjusted_weights.capacity() + cost_cache_base.capacity() +
-            cost_cache_scaled.capacity()) *
-               sizeof(double) +
+           adjusted_weights.capacity() * sizeof(double) +
            cost_view.MemoryFootprintBytes() +
-           unit_view.MemoryFootprintBytes() +
            edge_counts.capacity() * sizeof(uint32_t) +
            touched_edges.capacity() * sizeof(graph::EdgeId);
   }
@@ -89,9 +77,9 @@ struct SummarizeContext {
 std::vector<size_t> AscendingKOrder(const std::vector<int>& ks);
 
 /// Runs the configured summarizer on \p task, borrowing all scratch state
-/// from \p ctx. When \p shared_views (the prebuilt base views of
-/// `rec_graph`) is provided, zero-overlay tasks consume them directly;
-/// otherwise every cost view is derived per call. Both routes produce
+/// from \p ctx. Cost views come from \p shared_views (the prebuilt base
+/// views of `rec_graph`); without them the call builds a throwaway
+/// `SharedCostViews` and pays for its base views. Both routes produce
 /// bit-identical summaries; `Summarize` == `SummarizeWith` on a throwaway
 /// context without shared views.
 Result<Summary> SummarizeWith(const data::RecGraph& rec_graph,

@@ -1,9 +1,5 @@
 #include "core/cost_transform.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdint>
-
 namespace xsum::core {
 
 std::vector<double> WeightsToCosts(const std::vector<double>& weights,
@@ -23,19 +19,15 @@ void WeightsToCostsInto(const std::vector<double>& weights, CostMode mode,
     out->clear();
     return;
   }
-  auto scale = [mode](double w) {
-    if (mode == CostMode::kWeightAwareLog) return std::log1p(std::max(w, 0.0));
-    return w;
-  };
   const auto [min_it, max_it] =
       std::minmax_element(weights.begin(), weights.end());
-  const double w_min = scale(*min_it);
-  const double w_max = scale(*max_it);
+  const double w_min = ScaleWeight(*min_it, mode);
+  const double w_max = ScaleWeight(*max_it, mode);
   const double span = w_max - w_min;
   out->assign(weights.size(), 1.0);
   if (span <= 0.0) return;  // all weights equal -> unit costs
   for (size_t e = 0; e < weights.size(); ++e) {
-    (*out)[e] = 1.0 + (w_max - scale(weights[e])) / span;
+    (*out)[e] = ScaledWeightToCost(ScaleWeight(weights[e], mode), w_max, span);
   }
 }
 

@@ -20,6 +20,8 @@
 #ifndef XSUM_CORE_COST_TRANSFORM_H_
 #define XSUM_CORE_COST_TRANSFORM_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -42,6 +44,22 @@ enum class CostMode : uint8_t {
   /// weights", §V-A).
   kUnit = 2,
 };
+
+/// The order-preserving image a weight-aware \p mode takes of a weight
+/// before the affine map: log1p(max(w, 0)) under kWeightAwareLog, w itself
+/// under kWeightAware.
+inline double ScaleWeight(double w, CostMode mode) {
+  if (mode == CostMode::kWeightAwareLog) return std::log1p(std::max(w, 0.0));
+  return w;
+}
+
+/// The affine map of a scaled weight \p s to its cost, given the largest
+/// scaled weight \p w_max and the scaled range \p span > 0. Every writer
+/// of weight-aware costs goes through this one expression, which is what
+/// keeps their outputs bit-identical.
+inline double ScaledWeightToCost(double s, double w_max, double span) {
+  return 1.0 + (w_max - s) / span;
+}
 
 /// Converts weights to non-negative Steiner costs under \p mode.
 /// With the weight-aware modes, degenerate inputs (all weights equal)

@@ -390,20 +390,38 @@ Result<SteinerResult> SteinerMehlhorn(const CostView& costs,
     ws.SetTag(terminals[i], static_cast<uint32_t>(i));
   }
 
-  // Closure edges are Voronoi boundary edges: cheapest bridge between two
-  // cells approximates the terminal-to-terminal distance.
-  std::vector<MstEdge> closure_edges;
+  // Closure edges are bridges between Voronoi cells. Only the cheapest
+  // bridge of each pair of cells can enter the closure MST (Mehlhorn 1988),
+  // so the scan keeps one per pair: the smallest weight, the first in
+  // edge-id order on ties. Handed to Kruskal in ascending edge-id order,
+  // the kept bridges sort exactly as they did within the full boundary
+  // list, and every dropped bridge would have been rejected there (its
+  // pair's kept bridge comes first and connects the two cells), so the
+  // selection is the full list's (DESIGN.md §5.1).
+  graph::PairMinTable& bridges = ws.pair_table();
+  bridges.Reset();
   for (EdgeId e = 0; e < graph.num_edges(); ++e) {
     const graph::EdgeRecord& r = graph.edge(e);
     const NodeId su = ws.origin(r.src);
     const NodeId sv = ws.origin(r.dst);
     if (su == sv) continue;
     if (su == graph::kInvalidNode || sv == graph::kInvalidNode) continue;
-    closure_edges.push_back(
-        MstEdge{ws.TagOr(su, 0), ws.TagOr(sv, 0),
-                ws.dist(r.src) + costs.cost(e) + ws.dist(r.dst), e});
+    bridges.Offer(ws.TagOr(su, 0), ws.TagOr(sv, 0),
+                  ws.dist(r.src) + costs.cost(e) + ws.dist(r.dst), e);
   }
-  result.workspace_bytes += closure_edges.size() * sizeof(MstEdge);
+  std::vector<MstEdge> closure_edges;
+  closure_edges.reserve(bridges.size());
+  bridges.ForEach([&](const graph::PairMinTable::Entry& kept) {
+    const graph::EdgeRecord& r = graph.edge(kept.edge);
+    closure_edges.push_back(MstEdge{ws.TagOr(ws.origin(r.src), 0),
+                                    ws.TagOr(ws.origin(r.dst), 0),
+                                    kept.weight, kept.edge});
+  });
+  std::sort(closure_edges.begin(), closure_edges.end(),
+            [](const MstEdge& x, const MstEdge& y) { return x.tag < y.tag; });
+  result.workspace_bytes +=
+      bridges.capacity() * sizeof(graph::PairMinTable::Entry) +
+      closure_edges.size() * sizeof(MstEdge);
   const std::vector<size_t> selected = graph::KruskalMst(t, closure_edges);
 
   graph::UnionFind uf(t);

@@ -9,8 +9,13 @@
 ///    leaf pruning cleans the expansion. O(|T|·(|E| + |V| log |V|)),
 ///    approximation ratio ≤ 2 — exactly the paper's stated complexity.
 ///  - `kMehlhorn`: one multi-source Dijkstra builds Voronoi cells whose
-///    boundary edges induce the closure. O(|E| + |V| log |V|), same
-///    guarantee; offered as a faster engineering alternative and ablation.
+///    boundary edges induce the closure. Per unordered pair of cells only
+///    one bridge enters the closure MST: the one with the smallest
+///    dist(src) + cost(e) + dist(dst), the lowest edge id on equal weight;
+///    the kept bridges reach Kruskal in ascending edge-id order, which
+///    selects exactly what the full boundary list would. O(|E| + |V| log
+///    |V|), same guarantee; offered as a faster engineering alternative and
+///    ablation.
 
 #ifndef XSUM_CORE_STEINER_H_
 #define XSUM_CORE_STEINER_H_

@@ -45,8 +45,7 @@ void AdjustWeightsInto(const graph::KnowledgeGraph& graph,
     for (graph::EdgeId e : path.edges) {
       if (e == graph::kInvalidEdge) continue;  // hallucinated hop
       assert(e < counts_scratch->size());
-      ++(*counts_scratch)[e];
-      touched_scratch->push_back(e);
+      if ((*counts_scratch)[e]++ == 0) touched_scratch->push_back(e);
     }
   }
   const double denom = static_cast<double>(s_size == 0 ? 1 : s_size);
@@ -55,7 +54,6 @@ void AdjustWeightsInto(const graph::KnowledgeGraph& graph,
   out->assign(base_weights.begin(), base_weights.end());
   for (graph::EdgeId e : *touched_scratch) {
     const uint32_t count = (*counts_scratch)[e];
-    if (count == 0) continue;  // duplicate touch, already applied
     const double freq = static_cast<double>(count) / denom;
     (*out)[e] = base_weights[e] * (1.0 + lambda * freq);
     (*counts_scratch)[e] = 0;

@@ -36,8 +36,9 @@ std::vector<double> AdjustWeights(const graph::KnowledgeGraph& graph,
 /// \p counts_scratch is a persistent all-zero vector (grown to |E| here and
 /// returned all-zero: only the path edges recorded in \p touched_scratch
 /// are written and cleared), so repeated calls cost O(|E| copy + Σ|path|)
-/// instead of an O(|E|) allocation + zero-fill per call. \p out receives
-/// the adjusted weights (same values as `AdjustWeights`).
+/// instead of an O(|E|) allocation + zero-fill per call. \p touched_scratch
+/// receives every path edge once, in first-occurrence order. \p out
+/// receives the adjusted weights (same values as `AdjustWeights`).
 void AdjustWeightsInto(const graph::KnowledgeGraph& graph,
                        const std::vector<double>& base_weights,
                        const std::vector<graph::Path>& paths, double lambda,

@@ -45,12 +45,25 @@ void CostView::Commit() {
     slots_[i] = CostSlot{adj[i].neighbor, adj[i].edge,
                          edge_costs_[adj[i].edge]};
   }
-  min_cost_ = std::numeric_limits<double>::infinity();
-  max_cost_ = -std::numeric_limits<double>::infinity();
+  double min_cost = std::numeric_limits<double>::infinity();
+  double max_cost = -std::numeric_limits<double>::infinity();
   for (double c : edge_costs_) {
-    min_cost_ = std::min(min_cost_, c);
-    max_cost_ = std::max(max_cost_, c);
+    min_cost = std::min(min_cost, c);
+    max_cost = std::max(max_cost, c);
   }
+  CommitWritten(min_cost, max_cost);
+}
+
+CostView::WriteBuffers CostView::StartWrite(const KnowledgeGraph& graph) {
+  StartAssign(graph);
+  slots_.resize(graph.adjacency().size());
+  return {edge_costs_, slots_};
+}
+
+void CostView::CommitWritten(double min_cost, double max_cost) {
+  assert(graph_ != nullptr && "CommitWritten without StartWrite");
+  min_cost_ = min_cost;
+  max_cost_ = max_cost;
   version_ = g_next_version.fetch_add(1, std::memory_order_relaxed);
 }
 

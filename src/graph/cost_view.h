@@ -19,13 +19,14 @@
 ///
 /// Views are *logically immutable*: kernels take `const CostView&` and a
 /// committed view never changes under them. Rebuild-in-place is the only
-/// mutation (`StartAssign`/`Commit`, reusing capacity for the batch
-/// engine's per-task overlay views); every commit stamps a fresh globally
-/// unique version, so caches that hold a view can detect any rebuild with
-/// one integer compare. Long-lived shared views (graph snapshots, the
-/// batch engine's per-mode base views) are built once and handed out as
-/// `shared_ptr<const CostView>`-style references; per-task overlay views
-/// live in the per-worker `SummarizeContext`.
+/// mutation (`StartAssign`/`Commit` or `StartWrite`/`CommitWritten`,
+/// reusing capacity for the batch engine's per-task overlay views); every
+/// commit stamps a fresh globally unique version, so caches that hold a
+/// view can detect any rebuild with one integer compare. Long-lived shared
+/// views (graph snapshots, the batch engine's per-mode base views) are
+/// built once and handed out as `shared_ptr<const CostView>`-style
+/// references; per-task overlay views live in the per-worker
+/// `SummarizeContext`.
 
 #ifndef XSUM_GRAPH_COST_VIEW_H_
 #define XSUM_GRAPH_COST_VIEW_H_
@@ -101,10 +102,24 @@ class CostView {
 
   /// In-place rebuild protocol for zero-allocation steady state: write the
   /// per-edge costs into the returned buffer (pre-sized to
-  /// `graph.num_edges()`), then `Commit()`. The view is invalid (mustn't
-  /// be read) between the two calls.
+  /// `graph.num_edges()`), then `Commit()`, which gathers them into the
+  /// slots and scans the range. The view is invalid (mustn't be read)
+  /// between the two calls.
   std::vector<double>& StartAssign(const KnowledgeGraph& graph);
   void Commit();
+
+  /// Both cost arrays of a view under direct rebuild.
+  struct WriteBuffers {
+    std::span<double> edge_costs;  ///< EdgeId-indexed
+    std::span<CostSlot> slots;     ///< parallel to `graph.adjacency()`
+  };
+  /// Direct rebuild for writers that produce the slot records themselves
+  /// (core::SharedCostViews' one-pass cost writer): sizes both arrays for
+  /// \p graph; the caller writes every edge cost and every whole slot
+  /// record, consistently, then calls `CommitWritten` with the cost range
+  /// it wrote. No gather pass, no range scan.
+  WriteBuffers StartWrite(const KnowledgeGraph& graph);
+  void CommitWritten(double min_cost, double max_cost);
 
   /// Resident bytes of the cost arrays (the interleaved slots plus the
   /// EdgeId-indexed mirror).

@@ -375,6 +375,54 @@ NodeId EpochUnionFind::Find(NodeId x) {
   return root;
 }
 
+// --- PairMinTable ----------------------------------------------------------
+
+void PairMinTable::Reset() {
+  slots_.assign(kMinCapacity, Entry{kVacant, 0.0, kInvalidEdge});
+  shift_ = 64 - std::countr_zero(kMinCapacity);
+  size_ = 0;
+}
+
+void PairMinTable::Offer(uint32_t a, uint32_t b, double weight, EdgeId edge) {
+  assert(a != b);
+  const uint64_t key =
+      a < b ? (uint64_t{a} << 32 | b) : (uint64_t{b} << 32 | a);
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Home(key);; i = (i + 1) & mask) {
+    Entry& slot = slots_[i];
+    if (slot.key == key) {
+      if (weight < slot.weight) {
+        slot.weight = weight;
+        slot.edge = edge;
+      }
+      return;
+    }
+    if (slot.key == kVacant) {
+      if (2 * (size_ + 1) > slots_.size()) {
+        Grow();
+        Offer(a, b, weight, edge);
+        return;
+      }
+      slot = Entry{key, weight, edge};
+      ++size_;
+      return;
+    }
+  }
+}
+
+void PairMinTable::Grow() {
+  spare_.swap(slots_);
+  slots_.assign(2 * spare_.size(), Entry{kVacant, 0.0, kInvalidEdge});
+  --shift_;
+  const size_t mask = slots_.size() - 1;
+  for (const Entry& entry : spare_) {
+    if (entry.key == kVacant) continue;
+    size_t i = Home(entry.key);
+    while (slots_[i].key != kVacant) i = (i + 1) & mask;
+    slots_[i] = entry;
+  }
+}
+
 // --- SearchWorkspace -------------------------------------------------------
 
 void SearchWorkspace::Begin(size_t n) {
@@ -406,6 +454,7 @@ size_t SearchWorkspace::MemoryFootprintBytes() const {
          heap_.MemoryFootprintBytes() + bucket_frontier_.MemoryFootprintBytes() +
          delta_frontier_.MemoryFootprintBytes() +
          union_find_.MemoryFootprintBytes() +
+         pair_table_.MemoryFootprintBytes() +
          node_scratch_.capacity() * sizeof(NodeId) +
          edge_scratch_.capacity() * sizeof(EdgeId) +
          value_scratch_.capacity() * sizeof(double);

@@ -27,6 +27,8 @@
 ///    self-resetting; selected for wide weighted key ranges where the
 ///    fixed 512-bucket Dial array degenerates — DESIGN.md §8)
 ///  - an epoch-stamped union-find (`EpochUnionFind`, self-resetting)
+///  - a pair-keyed min table (`PairMinTable`, self-resetting; Mehlhorn's
+///    per-cell-pair bridges)
 ///  - unstamped scratch vectors callers clear themselves
 ///
 /// A workspace may be reused across graphs of different sizes: `Begin(n)`
@@ -320,6 +322,67 @@ class EpochUnionFind {
   size_t touched_ = 0;
 };
 
+/// \brief Open-addressing map from an unordered pair of distinct dense ids
+/// to the cheapest (weight, edge) offered for it — Mehlhorn's per-cell-pair
+/// bridge table.
+///
+/// The table starts at a small power of two and doubles past half load, so
+/// its size follows the number of distinct pairs offered, never ids². An
+/// offer replaces the kept entry only on a strictly smaller weight, so on
+/// equal weights the first offer wins. Buffers keep their capacity across
+/// `Reset`s.
+class PairMinTable {
+ public:
+  struct Entry {
+    uint64_t key;  ///< min(a, b) << 32 | max(a, b); `kVacant` if unused
+    double weight;
+    EdgeId edge;
+  };
+  static constexpr uint64_t kVacant = std::numeric_limits<uint64_t>::max();
+
+  /// Empties the table back to its smallest size. O(1); the buffers keep
+  /// their capacity.
+  void Reset();
+
+  /// Keeps (\p weight, \p edge) for the pair {a, b} (a != b) if the pair is
+  /// new or \p weight is strictly below the kept one.
+  void Offer(uint32_t a, uint32_t b, double weight, EdgeId edge);
+
+  /// Distinct pairs offered since the last `Reset`.
+  size_t size() const { return size_; }
+  /// Slot count of the current table: a power of two, at least twice
+  /// `size()`, and a function of the offers since `Reset` alone (so a
+  /// query can charge `capacity() * sizeof(Entry)` deterministically).
+  size_t capacity() const { return slots_.size(); }
+
+  /// Calls \p fn(const Entry&) for every kept pair, in slot order.
+  template <typename Fn>
+  void ForEach(Fn fn) const {
+    for (const Entry& entry : slots_) {
+      if (entry.key != kVacant) fn(entry);
+    }
+  }
+
+  size_t MemoryFootprintBytes() const {
+    return (slots_.capacity() + spare_.capacity()) * sizeof(Entry);
+  }
+
+ private:
+  static constexpr size_t kMinCapacity = 16;
+
+  /// Doubles the table and re-inserts every kept entry.
+  void Grow();
+  size_t Home(uint64_t key) const {
+    // Fibonacci hashing: the top log2(capacity) bits of key * 2^64/phi.
+    return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  std::vector<Entry> slots_;  // size() is the current power-of-two capacity
+  std::vector<Entry> spare_;  // rehash source of `Grow` (capacity reuse)
+  size_t size_ = 0;
+  unsigned shift_ = 64;
+};
+
 /// \brief Reusable per-thread search state (see file comment).
 class SearchWorkspace {
  public:
@@ -419,6 +482,8 @@ class SearchWorkspace {
   DeltaSteppingFrontier& delta_frontier() { return delta_frontier_; }
   /// Self-resetting: call `union_find().Reset(n)` before each use.
   EpochUnionFind& union_find() { return union_find_; }
+  /// Self-resetting: call `pair_table().Reset()` before each use.
+  PairMinTable& pair_table() { return pair_table_; }
 
   /// Unstamped scratch buffers; callers clear() before use (capacity is
   /// retained across queries).
@@ -467,6 +532,7 @@ class SearchWorkspace {
   BucketFrontier bucket_frontier_;
   DeltaSteppingFrontier delta_frontier_;
   EpochUnionFind union_find_;
+  PairMinTable pair_table_;
 
   std::vector<NodeId> node_scratch_;
   std::vector<EdgeId> edge_scratch_;

@@ -8,6 +8,8 @@
 /// worker counts × heap-vs-bucket frontier selection.
 
 #include <algorithm>
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -157,8 +159,9 @@ TEST(CostViewEquivalenceTest, DijkstraMatchesPreRefactorGatherAcrossModes) {
 
 TEST(CostViewEquivalenceTest,
      SharedAndRebuiltViewsAgreeAcrossModesAndOverlays) {
-  // Every route to a summary — throwaway context (per-call view), reused
-  // context (cached rebuild), engine with shared prebuilt views — must be
+  // Every route to a summary — throwaway context (per-call views), reused
+  // context (per-call views, reused overlay view), engine with shared
+  // prebuilt views — must be
   // bit-identical, for every cost mode, with and without an Eq. (1)
   // overlay, including the λ extremes the paper sweeps.
   const Fixture f = MakeFixture(0.03, 32);
@@ -329,6 +332,165 @@ TEST(CostViewEquivalenceTest, SharedViewsMatchPerTaskTransform) {
     }
   }
   EXPECT_TRUE(views.Matches(f.rg));
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+/// Slots (neighbor, edge, cost bits), edge cost bits and range bits.
+void ExpectSameView(const CostView& actual, const CostView& expected,
+                    const std::string& label) {
+  const graph::KnowledgeGraph& g = expected.graph();
+  ASSERT_EQ(actual.edge_costs().size(), expected.edge_costs().size());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    ASSERT_EQ(Bits(actual.cost(e)), Bits(expected.cost(e)))
+        << label << ": edge " << e;
+  }
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const auto a = actual.Neighbors(v);
+    const auto b = expected.Neighbors(v);
+    ASSERT_EQ(a.size(), b.size()) << label;
+    for (size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i].neighbor, b[i].neighbor) << label << ": node " << v;
+      ASSERT_EQ(a[i].edge, b[i].edge) << label << ": node " << v;
+      ASSERT_EQ(Bits(a[i].cost), Bits(b[i].cost)) << label << ": node " << v;
+    }
+  }
+  EXPECT_EQ(Bits(actual.min_cost()), Bits(expected.min_cost())) << label;
+  EXPECT_EQ(Bits(actual.max_cost()), Bits(expected.max_cost())) << label;
+}
+
+/// An input path over exactly \p edges (Eq. (1) reads only the edges).
+graph::Path PathOver(std::vector<EdgeId> edges) {
+  graph::Path path;
+  path.edges = std::move(edges);
+  return path;
+}
+
+/// The edges whose base weight equals \p weight.
+std::vector<EdgeId> EdgesAt(const data::RecGraph& rg, double weight) {
+  std::vector<EdgeId> edges;
+  for (EdgeId e = 0; e < rg.base_weights().size(); ++e) {
+    if (rg.base_weights()[e] == weight) edges.push_back(e);
+  }
+  return edges;
+}
+
+struct Overlay {
+  std::string name;
+  std::vector<graph::Path> paths;
+  double lambda = 1.0;
+  size_t s_size = 1;
+};
+
+/// Writes every overlay through `SharedCostViews::WriteOverlay` (reusing
+/// one output view) and compares it with a view assigned from the
+/// per-task transform of the adjusted weights.
+void ExpectOverlaysMatchTransform(const data::RecGraph& rg,
+                                  const std::vector<Overlay>& overlays) {
+  const graph::KnowledgeGraph& g = rg.graph();
+  SharedCostViews views(rg);
+  CostView written;
+  std::vector<uint32_t> counts;
+  std::vector<EdgeId> touched;
+  std::vector<double> adjusted;
+  for (CostMode mode : {CostMode::kWeightAwareLog, CostMode::kWeightAware}) {
+    for (const Overlay& overlay : overlays) {
+      AdjustWeightsInto(g, rg.base_weights(), overlay.paths, overlay.lambda,
+                        overlay.s_size, &counts, &touched, &adjusted);
+      views.WriteOverlay(mode, adjusted, touched, &written);
+      CostView expected;
+      expected.Assign(g, WeightsToCosts(AdjustWeights(g, rg.base_weights(),
+                                                      overlay.paths,
+                                                      overlay.lambda,
+                                                      overlay.s_size),
+                                        mode));
+      ExpectSameView(written, expected,
+                     overlay.name + " mode " +
+                         std::to_string(static_cast<int>(mode)));
+    }
+  }
+}
+
+TEST(CostViewEquivalenceTest, OverlayViewMatchesTransformAtTheExtremes) {
+  // The writer derives a task's raw extremes from the base extremes and
+  // the touched edges, rescanning only when every edge at a base extreme
+  // was touched. Each overlay below lands on one side of that rule.
+  const Fixture f = MakeFixture(0.03, 38);
+  const std::vector<double>& base = f.rg.base_weights();
+  const auto [min_it, max_it] = std::minmax_element(base.begin(), base.end());
+  const std::vector<EdgeId> at_max = EdgesAt(f.rg, *max_it);
+  const std::vector<EdgeId> at_min = EdgesAt(f.rg, *min_it);
+  ASSERT_GT(at_max.size(), 1u);
+  ASSERT_GT(at_min.size(), 1u);
+  const std::vector<EdgeId> half_max(at_max.begin(),
+                                     at_max.begin() + at_max.size() / 2);
+  const std::vector<EdgeId> half_min(at_min.begin(),
+                                     at_min.begin() + at_min.size() / 2);
+  Rng rng(98);
+  std::vector<graph::Path> walks;
+  for (int p = 0; p < 6; ++p) walks.push_back(RandomWalk(f.rg, &rng));
+  // Every walk twice, and one walk's edges inside another path.
+  std::vector<graph::Path> repeated = walks;
+  repeated.insert(repeated.end(), walks.begin(), walks.end());
+  std::vector<EdgeId> shared = walks[0].edges;
+  shared.insert(shared.end(), at_max.begin(), at_max.begin() + 1);
+  repeated.push_back(PathOver(shared));
+
+  ExpectOverlaysMatchTransform(
+      f.rg,
+      {{"no paths", {}, 1.0, 1},
+       {"random walks", walks, 1.0, 3},
+       {"repeated edges", repeated, 1.0, 4},
+       {"every max edge, boosted", {PathOver(at_max)}, 1.0, 1},
+       // A negative λ sinks the maximum below the next weight level, which
+       // only the rescan can find.
+       {"every max edge, sunk", {PathOver(at_max)}, -0.5, 1},
+       {"every min edge", {PathOver(at_min)}, 100.0, 1},
+       {"half the max edges, sunk", {PathOver(half_max)}, -0.5, 1},
+       {"half of each extreme",
+        {PathOver(half_max), PathOver(half_min), walks[1]},
+        1.0,
+        2},
+       // A λ the request parser accepts, large enough to overflow the
+       // boosted weights to +inf: every cost turns NaN.
+       {"overflowing boost", {PathOver(half_max)}, 1e308, 1}});
+}
+
+/// A 4x4 rating graph whose base weights are the ratings, cycling through
+/// \p levels (1, 2, ...): knowledge-free, so every edge is a rating.
+data::RecGraph LeveledGraph(int levels) {
+  data::Dataset ds;
+  ds.num_users = 4;
+  ds.num_items = 4;
+  ds.user_gender.assign(ds.num_users, data::Gender::kMale);
+  for (uint32_t u = 0; u < 4; ++u) {
+    for (uint32_t i = 0; i < 4; ++i) {
+      ds.ratings.push_back(
+          {u, i, static_cast<float>(1 + (u + i) % levels), 0});
+    }
+  }
+  return std::move(data::BuildRecGraph(ds)).ValueOrDie();
+}
+
+TEST(CostViewEquivalenceTest, OverlayViewMatchesTransformOnLeveledWeights) {
+  // Two levels: doubling every weight-1 edge makes all weights equal
+  // (span 0, unit costs). Three levels: raising every weight-1 edge above
+  // the top leaves the minimum at the untouched middle level.
+  const data::RecGraph two = LeveledGraph(2);
+  const std::vector<EdgeId> ones = EdgesAt(two, 1.0);
+  ASSERT_FALSE(ones.empty());
+  ExpectOverlaysMatchTransform(
+      two, {{"all equal", {PathOver(ones)}, 1.0, 1},
+            {"one edge", {PathOver({ones.front()})}, 1.0, 1}});
+
+  const data::RecGraph three = LeveledGraph(3);
+  ExpectOverlaysMatchTransform(
+      three, {{"min moves to the middle", {PathOver(EdgesAt(three, 1.0))},
+               3.0, 1}});
 }
 
 }  // namespace

@@ -1,14 +1,19 @@
 /// Tests for Algorithm 1 (ST summaries): correctness on hand-checked
 /// graphs, the 2-approximation guarantee against brute force on small
-/// random graphs, and structural invariants (tree, spans terminals,
-/// terminal leaves only) as property sweeps over both variants.
+/// random graphs, structural invariants (tree, spans terminals, terminal
+/// leaves only) as property sweeps over both variants, and the Mehlhorn
+/// closure against its textbook construction.
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_map>
 
 #include <gtest/gtest.h>
 
 #include "core/steiner.h"
+#include "graph/cost_view.h"
+#include "graph/dijkstra.h"
+#include "graph/mst.h"
 #include "graph/union_find.h"
 #include "util/rng.h"
 
@@ -280,6 +285,150 @@ TEST(SteinerWorkspaceTest, KmbWorkspaceGrowsWithTerminals) {
   ASSERT_TRUE(small.ok());
   ASSERT_TRUE(large.ok());
   EXPECT_GT(large->workspace_bytes, small->workspace_bytes);
+}
+
+/// Textbook Mehlhorn: every Voronoi boundary edge, in edge-id order, goes
+/// to `graph::KruskalMst`; then the usual unreached-terminal rule (the
+/// largest closure component wins, ties to the smaller root), expansion
+/// (bridge + both back-walks) and cleanup (MST of the expansion, prune
+/// non-terminal leaves). \p terminals must be sorted and unique.
+SteinerResult ReferenceMehlhorn(const graph::CostView& view,
+                                const std::vector<NodeId>& terminals,
+                                bool cleanup) {
+  const KnowledgeGraph& g = view.graph();
+  const size_t t = terminals.size();
+  graph::SearchWorkspace ws;
+  graph::MultiSourceDijkstraInto(view, terminals, ws);
+  std::unordered_map<NodeId, size_t> index;
+  for (size_t i = 0; i < t; ++i) index[terminals[i]] = i;
+  std::vector<graph::MstEdge> boundary;
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const NodeId su = ws.origin(g.edge(e).src);
+    const NodeId sv = ws.origin(g.edge(e).dst);
+    if (su == sv || su == graph::kInvalidNode || sv == graph::kInvalidNode) {
+      continue;
+    }
+    boundary.push_back(graph::MstEdge{
+        index.at(su), index.at(sv),
+        ws.dist(g.edge(e).src) + view.cost(e) + ws.dist(g.edge(e).dst), e});
+  }
+  const std::vector<size_t> selected = graph::KruskalMst(t, boundary);
+
+  SteinerResult result;
+  graph::UnionFind uf(t);
+  for (size_t idx : selected) uf.Union(boundary[idx].a, boundary[idx].b);
+  std::vector<size_t> size(t, 0);
+  for (size_t i = 0; i < t; ++i) ++size[uf.Find(i)];
+  size_t best = uf.Find(0);
+  for (size_t root = 0; root < t; ++root) {
+    if (size[root] > size[best] || (size[root] == size[best] && root < best)) {
+      best = root;
+    }
+  }
+  for (size_t i = 0; i < t; ++i) {
+    if (uf.Find(i) != best) result.unreached_terminals.push_back(terminals[i]);
+  }
+
+  std::vector<EdgeId> expansion;
+  for (size_t idx : selected) {
+    const EdgeId bridge = static_cast<EdgeId>(boundary[idx].tag);
+    expansion.push_back(bridge);
+    graph::AppendPathEdges(ws, g.edge(bridge).src, &expansion);
+    graph::AppendPathEdges(ws, g.edge(bridge).dst, &expansion);
+  }
+  graph::Subgraph expanded =
+      graph::Subgraph::FromEdges(g, std::move(expansion), terminals);
+  if (!cleanup) {
+    result.tree = std::move(expanded);
+    return result;
+  }
+  std::unordered_map<NodeId, size_t> dense;
+  for (size_t i = 0; i < expanded.nodes().size(); ++i) {
+    dense[expanded.nodes()[i]] = i;
+  }
+  std::vector<graph::MstEdge> mst_edges;
+  for (EdgeId e : expanded.edges()) {
+    mst_edges.push_back(graph::MstEdge{dense.at(g.edge(e).src),
+                                       dense.at(g.edge(e).dst), view.cost(e),
+                                       e});
+  }
+  std::vector<EdgeId> tree_edges;
+  for (size_t idx : graph::KruskalMst(expanded.num_nodes(), mst_edges)) {
+    tree_edges.push_back(static_cast<EdgeId>(mst_edges[idx].tag));
+  }
+  result.tree = graph::Subgraph::FromEdges(g, std::move(tree_edges), terminals);
+  result.tree.PruneLeavesNotIn(g, terminals);
+  return result;
+}
+
+/// Random multigraph on \p n nodes with \p m edges; with \p components = 2
+/// the nodes split into two halves and no edge crosses between them.
+KnowledgeGraph RandomGraph(size_t n, size_t m, int components, Rng* rng) {
+  GraphBuilder builder;
+  builder.AddNodes(NodeType::kEntity, n);
+  const size_t part = n / static_cast<size_t>(components);
+  while (m > 0) {
+    const size_t offset =
+        part * rng->Uniform(static_cast<uint64_t>(components));
+    const NodeId a = static_cast<NodeId>(offset + rng->Uniform(part));
+    const NodeId b = static_cast<NodeId>(offset + rng->Uniform(part));
+    if (a == b) continue;
+    builder.AddEdge(a, b, Relation::kRelatedTo, 1.0).ValueOrDie();
+    --m;
+  }
+  return std::move(builder).Finalize();
+}
+
+TEST(SteinerMehlhornTest, MatchesFullBoundaryListReference) {
+  // Unit and small-integer costs put many bridges of one cell pair — and
+  // many closure edges of different pairs — at equal weight, so both tie
+  // orders (first bridge per pair; Kruskal input in edge-id order) decide
+  // the tree. Terminal counts run from 2 past 2·sqrt(|E|).
+  Rng rng(404);
+  SteinerOptions options;
+  options.variant = SteinerOptions::Variant::kMehlhorn;
+  graph::SearchWorkspace ws;  // reused: the pair table keeps its capacity
+  size_t cases = 0;
+  size_t with_unreached = 0;
+  for (int round = 0; round < 40; ++round) {
+    const int components = round % 4 == 3 ? 2 : 1;
+    const size_t n = 30 + rng.Uniform(90);
+    const size_t m = n + rng.Uniform(3 * n);
+    const KnowledgeGraph g = RandomGraph(n, m, components, &rng);
+    const int max_cost = round % 2 == 0 ? 1 : 3;
+    std::vector<double> costs(g.num_edges());
+    for (double& c : costs) {
+      c = static_cast<double>(1 + rng.Uniform(static_cast<uint64_t>(max_cost)));
+    }
+    graph::CostView view;
+    view.Assign(g, costs);
+    const size_t max_t = std::min(
+        n, static_cast<size_t>(2.0 * std::sqrt(static_cast<double>(m))) + 2);
+    for (size_t t : {size_t{2}, size_t{3}, max_t / 2, max_t}) {
+      std::vector<NodeId> terminals;
+      for (uint64_t v : rng.SampleWithoutReplacement(n, t)) {
+        terminals.push_back(static_cast<NodeId>(v));
+      }
+      std::sort(terminals.begin(), terminals.end());
+      for (const bool cleanup : {true, false}) {
+        options.cleanup = cleanup;
+        const SteinerResult expected =
+            ReferenceMehlhorn(view, terminals, cleanup);
+        const auto actual = SteinerTree(view, terminals, options, &ws);
+        ASSERT_TRUE(actual.ok()) << actual.status();
+        EXPECT_EQ(actual->tree.nodes(), expected.tree.nodes())
+            << "round " << round << " t=" << t << " cleanup=" << cleanup;
+        EXPECT_EQ(actual->tree.edges(), expected.tree.edges())
+            << "round " << round << " t=" << t << " cleanup=" << cleanup;
+        EXPECT_EQ(actual->unreached_terminals, expected.unreached_terminals)
+            << "round " << round << " t=" << t;
+        ++cases;
+        with_unreached += !expected.unreached_terminals.empty();
+      }
+    }
+  }
+  EXPECT_EQ(cases, 40u * 4u * 2u);
+  EXPECT_GT(with_unreached, 0u);  // the two-component graphs split
 }
 
 }  // namespace
