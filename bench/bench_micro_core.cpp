@@ -16,19 +16,15 @@
 ///    `SearchWorkspace` and a prebuilt shared `graph::CostView` (the
 ///    steady state of `core::BatchSummarizer` / the summary service).
 /// Comparing SeedRef vs CostView rows reports the old-vs-new throughput of
-/// repeated queries; the `BM_PcstGrowthFrontier` family additionally splits
-/// the indexed-heap, Dial-bucket, delta-stepping, and auto-selected
-/// frontiers of the PCST growth (DESIGN.md §4, §8).
+/// repeated queries.
 ///
-/// The cross-request batching rows benchmark the multi-query kernel
-/// (DESIGN.md §8): `SteinerKmbSequentialBatch` vs `SteinerKmbWave` run B
-/// KMB tasks drawing terminals from a shared hot pool sequentially vs as
-/// one `SteinerTreeWave`, and `MultiQueryKernel` vs
-/// `DijkstraSequentialBatch` isolate the raw lockstep kernel from the
-/// wave layer's source dedup. After the google-benchmark rows, main()
-/// prints a direct wall-clock wave-speedup gate (target >= 1.5x for
-/// B >= 8). The SeedRef/CostView/Frontier/wave rows emit `XSUM_JSON` perf
-/// records for cross-commit trend tracking.
+/// The cross-request batching rows benchmark the KMB wave (DESIGN.md §8):
+/// `SteinerKmbSequentialBatch` vs `SteinerKmbWave` run B KMB tasks drawing
+/// terminals from a shared hot pool sequentially vs as one
+/// `SteinerTreeWave` (one search per distinct source). After the
+/// google-benchmark rows, main() prints a direct wall-clock wave-speedup
+/// gate (target >= 1.5x for B >= 8). The SeedRef/CostView/wave rows emit
+/// `XSUM_JSON` perf records for cross-commit trend tracking.
 
 #include <benchmark/benchmark.h>
 
@@ -49,7 +45,6 @@
 #include "graph/cost_view.h"
 #include "graph/dijkstra.h"
 #include "graph/mst.h"
-#include "graph/multi_query.h"
 #include "graph/search_workspace.h"
 #include "graph/subgraph.h"
 #include "util/env.h"
@@ -482,8 +477,8 @@ BENCHMARK(BM_SteinerKmbCostView)->Arg(11)->Arg(51);
 /// request mix hands the service's micro-batching window (hot users/items
 /// recur across concurrent tasks). The wave pair below prices exactly the
 /// cross-request sharing: the sequential arm searches every task's
-/// terminals from scratch, the wave arm runs one multi-query kernel sweep
-/// with sources deduplicated across the batch (target-set union).
+/// terminals from scratch, the wave arm searches each distinct source once
+/// across the batch (target-set union).
 std::vector<std::vector<graph::NodeId>> WaveTerminalSets(size_t b) {
   const auto& rg = FixtureGraph();
   const auto pool = PickTerminals(rg, 12, 23);
@@ -524,55 +519,15 @@ void BM_SteinerKmbWave(benchmark::State& state) {
   const auto sets = WaveTerminalSets(static_cast<size_t>(state.range(0)));
   core::SteinerOptions options;
   graph::SearchWorkspace ws;
-  graph::MultiQueryWorkspace mq;
   WallTimer timer;
   timer.Start();
   for (auto _ : state) {
-    auto results = core::SteinerTreeWave(view, sets, options, &ws, &mq);
+    auto results = core::SteinerTreeWave(view, sets, options, &ws);
     benchmark::DoNotOptimize(results);
   }
   EmitMicroPerf(state, "SteinerKmbWave", sets.size(), timer.ElapsedMillis());
 }
 BENCHMARK(BM_SteinerKmbWave)->Arg(1)->Arg(8)->Arg(16)->ArgName("B");
-
-/// Raw kernel pair: B full-sweep searches from distinct sources through
-/// one `MultiQueryDijkstra` call vs B sequential `DijkstraInto` runs.
-/// Isolates the lockstep kernel itself (lane-major state, shared CSR)
-/// from the wave layer's source dedup priced by the pair above.
-void BM_MultiQueryKernel(benchmark::State& state) {
-  const auto& rg = FixtureGraph();
-  const graph::CostView& view = FixtureCostView();
-  const size_t b = static_cast<size_t>(state.range(0));
-  const bool wave = state.range(1) != 0;
-  Rng rng(37);
-  std::vector<graph::NodeId> sources;
-  for (size_t q = 0; q < b; ++q) {
-    sources.push_back(
-        rg.UserNode(static_cast<uint32_t>(rng.Uniform(rg.num_users()))));
-  }
-  std::vector<graph::MultiQuery> queries(b);
-  for (size_t q = 0; q < b; ++q) queries[q].source = sources[q];
-  graph::SearchWorkspace ws;
-  graph::MultiQueryWorkspace mq;
-  WallTimer timer;
-  timer.Start();
-  for (auto _ : state) {
-    if (wave) {
-      graph::MultiQueryDijkstra(view, queries, mq);
-      benchmark::DoNotOptimize(mq);
-    } else {
-      for (const graph::NodeId src : sources) {
-        graph::DijkstraInto(view, src, {}, ws);
-        benchmark::DoNotOptimize(ws);
-      }
-    }
-  }
-  EmitMicroPerf(state, wave ? "MultiQueryKernel" : "DijkstraSequentialBatch",
-                b, timer.ElapsedMillis());
-}
-BENCHMARK(BM_MultiQueryKernel)
-    ->ArgsProduct({{8, 16}, {0, 1}})
-    ->ArgNames({"B", "wave"});
 
 void BM_SteinerMehlhorn(benchmark::State& state) {
   const auto& rg = FixtureGraph();
@@ -655,42 +610,6 @@ void BM_PcstGrowthCostView(benchmark::State& state) {
                 timer.ElapsedMillis());
 }
 BENCHMARK(BM_PcstGrowthCostView)->Arg(11)->Arg(51)->Arg(201);
-
-/// Heap vs Dial-bucket vs delta-stepping frontier under the
-/// moat-discretization slack (the tie-free regime where the automatic
-/// selection admits the bucketed queues; the forced rows isolate each
-/// queue, the kAuto row is the calibration regression guard — its wall
-/// time must track whichever forced row the heuristic picks at this
-/// scale). Results are bit-identical across all four
-/// (tests/core/cost_view_equivalence_test).
-void BM_PcstGrowthFrontier(benchmark::State& state) {
-  const auto& rg = FixtureGraph();
-  const graph::CostView& view = FixtureUnitView();
-  const auto terminals =
-      PickTerminals(rg, static_cast<size_t>(state.range(0)), 17);
-  core::PcstOptions options;
-  options.growth_slack = 0.5;
-  static constexpr core::PcstOptions::Frontier kFrontiers[] = {
-      core::PcstOptions::Frontier::kHeap, core::PcstOptions::Frontier::kBucket,
-      core::PcstOptions::Frontier::kDelta, core::PcstOptions::Frontier::kAuto};
-  static constexpr const char* kNames[] = {
-      "PcstGrowthHeapFrontier", "PcstGrowthBucketFrontier",
-      "PcstGrowthDeltaFrontier", "PcstGrowthAutoFrontier"};
-  const auto which = static_cast<size_t>(state.range(1));
-  options.frontier = kFrontiers[which];
-  graph::SearchWorkspace ws;
-  WallTimer timer;
-  timer.Start();
-  for (auto _ : state) {
-    auto result =
-        core::PcstSummary(view, rg.base_weights(), terminals, options, &ws);
-    benchmark::DoNotOptimize(result);
-  }
-  EmitMicroPerf(state, kNames[which], terminals.size(), timer.ElapsedMillis());
-}
-BENCHMARK(BM_PcstGrowthFrontier)
-    ->ArgsProduct({{11, 51, 201}, {0, 1, 2, 3}})
-    ->ArgNames({"t", "frontier"});
 
 /// Builds a bare summarization task over random terminals (no input paths:
 /// Eq. (1) degenerates to the base weights, isolating engine overhead).
@@ -870,7 +789,6 @@ void ReportWaveGate() {
   const graph::CostView& view = FixtureCostView();
   core::SteinerOptions options;
   graph::SearchWorkspace ws;
-  graph::MultiQueryWorkspace mq;
   std::printf("\ncross-request wave speedup (shared-pool KMB batch, "
               "target >= 1.5x for B >= 8):\n");
   for (const size_t b : {size_t{8}, size_t{16}}) {
@@ -882,7 +800,7 @@ void ReportWaveGate() {
           core::SteinerTree(view, terminals, options, &ws));
     }
     benchmark::DoNotOptimize(
-        core::SteinerTreeWave(view, sets, options, &ws, &mq));
+        core::SteinerTreeWave(view, sets, options, &ws));
     WallTimer timer;
     timer.Start();
     for (int rep = 0; rep < kReps; ++rep) {
@@ -895,7 +813,7 @@ void ReportWaveGate() {
     timer.Start();
     for (int rep = 0; rep < kReps; ++rep) {
       benchmark::DoNotOptimize(
-          core::SteinerTreeWave(view, sets, options, &ws, &mq));
+          core::SteinerTreeWave(view, sets, options, &ws));
     }
     const double wave_ms = timer.ElapsedMillis();
     const double speedup = wave_ms > 0.0 ? sequential_ms / wave_ms : 0.0;

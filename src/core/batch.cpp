@@ -306,7 +306,7 @@ std::vector<Result<Summary>> BatchSummarizer::RunWaveWith(
   WallTimer timer;
   timer.Start();
 
-  // Partition: kernel-eligible tasks are KMB Steiner whose cost view is
+  // Partition: wave-eligible tasks are KMB Steiner whose cost view is
   // the shared base view — kUnit always, other modes when the Eq. (1)
   // overlay moved no edge value (a rebuilt view would be bitwise equal to
   // the shared one, so substituting it cannot change any summary byte).
@@ -339,8 +339,7 @@ std::vector<Result<Summary>> BatchSummarizer::RunWaveWith(
 
   const graph::CostView& costs = views_->ForMode(options.cost_mode);
   std::vector<Result<SteinerResult>> wave =
-      SteinerTreeWave(costs, terminal_sets, options.steiner, &ctx.workspace,
-                      &ctx.multi_query);
+      SteinerTreeWave(costs, terminal_sets, options.steiner, &ctx.workspace);
   for (size_t m = 0; m < eligible.size(); ++m) {
     const size_t i = eligible[m];
     const SummaryTask& task = *tasks[i];

@@ -20,7 +20,7 @@
 /// between steps — a λ > 0 overlay re-weights path-touched edges whenever
 /// k adds paths — the chain resets and the step runs from scratch (still
 /// inside the reused context), so chained summaries are bit-identical to
-/// from-scratch ones for every method, λ, scenario, and frontier choice;
+/// from-scratch ones for every method, λ, scenario, and growth slack;
 /// reuse is a pure fast path that engages exactly when it is provably
 /// safe (λ = 0 / unit-cost / overlay-free task streams). PCST and
 /// Mehlhorn steps run their single global sweep per step either way and

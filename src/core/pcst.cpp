@@ -5,7 +5,6 @@
 #include "graph/centrality.h"
 #include "graph/dijkstra.h"
 #include "graph/search_workspace.h"
-#include "util/env.h"
 #include "util/string_util.h"
 
 namespace xsum::core {
@@ -20,41 +19,6 @@ using graph::KnowledgeGraph;
 using graph::NodeId;
 using graph::SearchWorkspace;
 using graph::Subgraph;
-
-/// Operator override for the kAuto frontier choice (read once per process):
-/// XSUM_FRONTIER = auto | heap | bucket | delta. Anything else (including
-/// unset) leaves kAuto to its heuristic. Forced `PcstOptions::frontier`
-/// settings are honored verbatim and never consult this.
-PcstOptions::Frontier FrontierFromEnv() {
-  static const PcstOptions::Frontier cached = [] {
-    const std::string v = GetEnvString("XSUM_FRONTIER", "auto");
-    if (v == "heap") return PcstOptions::Frontier::kHeap;
-    if (v == "bucket") return PcstOptions::Frontier::kBucket;
-    if (v == "delta") return PcstOptions::Frontier::kDelta;
-    return PcstOptions::Frontier::kAuto;
-  }();
-  return cached;
-}
-
-/// Minimum frontier volume (settled nodes, ≈ n on terminal-rich growths)
-/// below which a bucket frontier's reset/compact/sort machinery does not
-/// amortize against raw heap sifts. Calibrated on the
-/// `BM_PcstGrowthFrontier` sweep (bench_micro_core): at XSUM_SCALE 0.08
-/// (n≈3k) the bucket frontier loses ~15-30%, at scale 0.5 (n≈21k) it ties,
-/// and it only wins beyond — so kAuto keeps the heap until the expected
-/// volume clears the tie point.
-constexpr size_t kAutoBucketMinVolume = 20000;
-
-/// Dial-bucket occupancy bound: past ~128 expected settles per fixed
-/// bucket (volume / 512 buckets) the per-pop compact+sort dominates and
-/// the calibrated-width delta frontier (bucket count ≈ volume, capped)
-/// wins.
-constexpr size_t kAutoDeltaMinVolume = 65536;
-
-/// Expected settled nodes per terminal component before the growth
-/// connects them — caps the volume estimate so terminal-poor queries on
-/// big graphs (which stop early) keep the heap.
-constexpr size_t kAutoVolumePerTerminal = 4096;
 
 }  // namespace
 
@@ -126,10 +90,8 @@ Result<PcstResult> PcstSummary(const CostView& costs,
   // merges two different components. The workspace provides the in-tree
   // flags (settled set), the candidate keys (dist + parent arrays), the
   // component structure (epoch union-find), and the per-root terminal
-  // counts (tag map). The frontier queue is selected per DESIGN.md §4:
-  // keys are static per node, so a bounded cost range admits a Dial-style
-  // bucket frontier; tie-free keys (slack > 0) make its exact-min pops
-  // reproduce the indexed heap's sequence bit-for-bit. ------------------
+  // counts (tag map), and the frontier queue (the indexed heap; at slack 0
+  // the unit-cost keys tie and its layout breaks the ties). --------------
   EpochUnionFind& components = ws.union_find();
   components.Reset(n);
 
@@ -157,7 +119,8 @@ Result<PcstResult> PcstSummary(const CostView& costs,
   // immediately (every in-tree/in-tree edge is offered exactly once, when
   // its later endpoint settles or during seeding), unsettled ones are
   // relaxed under the static growth key.
-  auto scan = [&](NodeId u, auto& frontier) {
+  graph::IndexedMinHeap& frontier = ws.heap();
+  auto scan = [&](NodeId u) {
     for (const CostSlot& s : costs.Neighbors(u)) {
       if (ws.settled(s.neighbor)) {
         merge(u, s.neighbor, s.edge);
@@ -171,82 +134,25 @@ Result<PcstResult> PcstSummary(const CostView& costs,
     }
   };
 
-  auto grow = [&](auto& frontier) {
-    // Seed all terminals (they enter Q with priority −p and are extracted
-    // first in Algorithm 2).
-    for (NodeId s : seeds) {
-      ws.SetSettled(s);
-      ws.SetTag(components.Find(s), 1);
-    }
-    for (NodeId s : seeds) scan(s, frontier);
-
-    while (!frontier.Empty() && terminal_components > 1) {
-      // Each node pops exactly once, at its best key, carrying the
-      // parent/via of that key in the workspace parent arrays. The seed's
-      // late-pop / stale-entry handling is unnecessary: every edge between
-      // two in-tree nodes is offered to merge() when its later endpoint
-      // settles (or in the seeding scan), so duplicate queue entries never
-      // adopted anything the scans do not.
-      const NodeId u = frontier.PopMin();
-      ws.SetSettled(u);
-      merge(ws.parent_node(u), u, ws.parent_edge(u));
-      scan(u, frontier);
-    }
-  };
-
-  PcstOptions::Frontier choice = options.frontier;
-  if (choice == PcstOptions::Frontier::kAuto) {
-    choice = FrontierFromEnv();
+  // Seed all terminals (they enter Q with priority −p and are extracted
+  // first in Algorithm 2).
+  for (NodeId s : seeds) {
+    ws.SetSettled(s);
+    ws.SetTag(components.Find(s), 1);
   }
-  if (choice == PcstOptions::Frontier::kAuto) {
-    // Safety/bit-compatibility first: tied keys (slack 0) or an unbounded
-    // cost range admit only the heap. Then size: the expected frontier
-    // volume — the whole graph, capped per terminal component for queries
-    // that connect early — must clear the calibrated amortization
-    // thresholds (see the constants above).
-    if (options.growth_slack <= 0.0 || !costs.has_bounded_costs()) {
-      choice = PcstOptions::Frontier::kHeap;
-    } else {
-      const size_t volume =
-          std::min(n, seeds.size() * kAutoVolumePerTerminal);
-      if (volume < kAutoBucketMinVolume) {
-        choice = PcstOptions::Frontier::kHeap;
-      } else if (volume < kAutoDeltaMinVolume) {
-        choice = PcstOptions::Frontier::kBucket;
-      } else {
-        choice = PcstOptions::Frontier::kDelta;
-      }
-    }
-  }
-  if (choice != PcstOptions::Frontier::kHeap) {
-    // Key range: cost ∈ [min, max], prize ∈ [pmin, pmax] over the nodes the
-    // frontier can hold (non-terminals; terminals settle before any scan),
-    // jitter ∈ [0, slack). The bounds only size the buckets — out-of-range
-    // keys clamp into the boundary buckets and still pop exactly.
-    double pmin = beta;
-    double pmax = beta;
-    if (!centrality.empty()) {
-      const auto [cmin, cmax] =
-          std::minmax_element(centrality.begin(), centrality.end());
-      pmin = 0.5 * *cmin;
-      pmax = 0.5 * *cmax;
-    }
-    const double key_lo = costs.min_cost() - pmax;
-    const double key_hi =
-        costs.max_cost() - pmin + std::max(options.growth_slack, 0.0);
-    if (choice == PcstOptions::Frontier::kDelta) {
-      graph::DeltaSteppingFrontier& frontier = ws.delta_frontier();
-      frontier.Reset(n, key_lo, key_hi,
-                     graph::DeltaSteppingFrontier::CalibrateDelta(
-                         key_lo, key_hi, n));
-      grow(frontier);
-    } else {
-      graph::BucketFrontier& frontier = ws.bucket_frontier();
-      frontier.Reset(n, key_lo, key_hi);
-      grow(frontier);
-    }
-  } else {
-    grow(ws.heap());
+  for (NodeId s : seeds) scan(s);
+
+  while (!frontier.Empty() && terminal_components > 1) {
+    // Each node pops exactly once, at its best key, carrying the
+    // parent/via of that key in the workspace parent arrays. The seed's
+    // late-pop / stale-entry handling is unnecessary: every edge between
+    // two in-tree nodes is offered to merge() when its later endpoint
+    // settles (or in the seeding scan), so duplicate queue entries never
+    // adopted anything the scans do not.
+    const NodeId u = frontier.PopMin();
+    ws.SetSettled(u);
+    merge(ws.parent_node(u), u, ws.parent_edge(u));
+    scan(u);
   }
   result.workspace_bytes =
       graph::SearchWorkspace::RequiredBytes(n) +

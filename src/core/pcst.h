@@ -20,9 +20,9 @@
 /// "larger summaries ... aggregate more total wM" (§V-B-6). Enabling
 /// `strong_prune` instead trims prize-less leaf chains down to a tight
 /// terminal-spanning tree (the Goemans-Williamson post-pass), kept as an
-/// ablation. The growth is a single priority-queue sweep —
-/// O((|V|+|E|) log |V|), *independent of |T|* — which is exactly the
-/// property the paper's Figures 9-11 attribute to PCST.
+/// ablation. The growth is a single sweep over the workspace's indexed
+/// heap — O((|V|+|E|) log |V|), *independent of |T|* — which is exactly
+/// the property the paper's Figures 9-11 attribute to PCST.
 
 #ifndef XSUM_CORE_PCST_H_
 #define XSUM_CORE_PCST_H_
@@ -71,29 +71,6 @@ struct PcstOptions {
   /// its ST summaries (§V-B-1). 0 disables the slack and yields
   /// near-optimal (Prim-like) connections.
   double growth_slack = 0.0;
-
-  /// Which priority queue drives the growth. The growth keys are *static*
-  /// per frontier node (edge cost − prize + slack), so when the cost view
-  /// reports a bounded range a bucket frontier answers push/decrease in
-  /// O(1) instead of heap sifts: `kBucket` is the fixed-512-bucket Dial
-  /// array, `kDelta` the calibrated-width delta-stepping variant for wide
-  /// weighted ranges. Both pop the exact global minimum, so on tie-free
-  /// keys (`growth_slack > 0` — the per-edge hash makes every key
-  /// distinct) their pop sequence provably reproduces the heap's
-  /// bit-for-bit (DESIGN.md §4, §8). With slack 0 every key collapses to
-  /// the same value and ordering is pure tie-breaking, which the indexed
-  /// heap's layout defines — only the heap is bit-compatible there.
-  ///
-  /// `kAuto` picks per query: heap on tied or unbounded keys (safety),
-  /// heap below the calibrated graph-size threshold where a bucket
-  /// frontier's reset/sort machinery does not amortize, then bucket for
-  /// narrow ranges and delta for wide ones. The `XSUM_FRONTIER` env var
-  /// (auto | heap | bucket | delta) overrides the kAuto choice — forced
-  /// frontiers in code take precedence; safety fallbacks to the heap
-  /// still apply. The forced settings exist for benches and tests.
-  enum class Frontier : uint8_t { kAuto = 0, kHeap = 1, kBucket = 2,
-                                  kDelta = 3 };
-  Frontier frontier = Frontier::kAuto;
 };
 
 /// \brief Outcome of the PCST construction.

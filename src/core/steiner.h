@@ -26,7 +26,6 @@
 
 #include "graph/cost_view.h"
 #include "graph/knowledge_graph.h"
-#include "graph/multi_query.h"
 #include "graph/search_workspace.h"
 #include "graph/subgraph.h"
 #include "util/status.h"
@@ -146,15 +145,17 @@ Result<SteinerResult> SteinerTreeChained(
     graph::SearchWorkspace* workspace, KmbClosureStore* store);
 
 /// \brief Wave construction: answers many KMB queries over *one* cost view
-/// through shared `MultiQueryDijkstra` kernel invocations (DESIGN.md §8).
+/// with their closure searches deduplicated across tasks (DESIGN.md §8).
 ///
-/// All closure rows of all tasks are gathered into multi-query waves with
-/// the sources deduplicated across tasks — two tasks searching from the
-/// same terminal share one search whose target set is the union (valid by
-/// the settled-prefix argument of DESIGN.md §5: a merged query early-exits
-/// later, and settled-node facts do not depend on how long a search runs).
-/// On Zipf-skewed traffic, where hot users/items recur across concurrent
-/// tasks, that dedup — not the lockstep itself — is the dominant win.
+/// Every distinct row source of the wave is searched once, by one
+/// `DijkstraInto` whose target set is the union of what the tasks ask of
+/// that source; each task's closure rows and expansion paths are read out
+/// of the workspace right after that search. The union search early-exits
+/// later than each task's own row would, and settled-node facts do not
+/// depend on how long a search runs (the settled-prefix argument of
+/// DESIGN.md §5), so every row a task reads equals its own. On
+/// Zipf-skewed traffic, where hot users/items recur across concurrent
+/// tasks, the dedup removes whole searches.
 ///
 /// `result[i]` is **bit-identical** to
 /// `SteinerTree(costs, terminal_sets[i], options, workspace)` — tree,
@@ -162,14 +163,10 @@ Result<SteinerResult> SteinerTreeChained(
 /// from-scratch terms) — including the degenerate single-task wave. A
 /// `kMehlhorn` \p options runs each task through the plain construction
 /// (its one multi-source sweep has nothing to share).
-///
-/// \p multi_query holds the O(|V|·B) lane state, reused across waves; wide
-/// task sets are chunked internally so the lane footprint stays bounded.
 std::vector<Result<SteinerResult>> SteinerTreeWave(
     const graph::CostView& costs,
     const std::vector<std::vector<graph::NodeId>>& terminal_sets,
-    const SteinerOptions& options, graph::SearchWorkspace* workspace,
-    graph::MultiQueryWorkspace* multi_query);
+    const SteinerOptions& options, graph::SearchWorkspace* workspace);
 
 }  // namespace xsum::core
 

@@ -14,8 +14,8 @@
 /// vector) and shared by reference by every kernel, so the scan loop
 /// streams one sequential array instead of gathering. The view also keeps
 /// the EdgeId-indexed costs (for closure/MST/objective code that works per
-/// edge) and the cost range (so the PCST growth can pick a bucket frontier
-/// when the range is bounded — see search_workspace.h).
+/// edge) and the cost range (so the Steiner entry points can reject
+/// negative costs with one compare).
 ///
 /// Views are *logically immutable*: kernels take `const CostView&` and a
 /// committed view never changes under them. Rebuild-in-place is the only
@@ -82,14 +82,6 @@ class CostView {
   /// Smallest / largest edge cost (+inf / -inf for an edgeless graph).
   double min_cost() const { return min_cost_; }
   double max_cost() const { return max_cost_; }
-
-  /// True iff every cost is finite (so `max_cost - min_cost` is a usable
-  /// bounded range for a bucket frontier). Edgeless graphs qualify.
-  bool has_bounded_costs() const {
-    return edge_costs_.empty() ||
-           (min_cost_ > -std::numeric_limits<double>::infinity() &&
-            max_cost_ < std::numeric_limits<double>::infinity());
-  }
 
   /// Builds the view from EdgeId-indexed \p edge_costs (one entry per
   /// `graph.num_edges()`). Costs may be any finite values; search kernels

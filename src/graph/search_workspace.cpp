@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 namespace xsum::graph {
 
@@ -89,262 +88,6 @@ void IndexedMinHeap::SiftDown(size_t i) {
     i = best;
   }
   MoveTo(i, key, v);
-}
-
-// --- BucketFrontier --------------------------------------------------------
-
-void BucketFrontier::Reset(size_t n, double lo, double hi) {
-  if (buckets_.empty()) {
-    buckets_.resize(kNumBuckets);
-    sorted_.resize(kNumBuckets, 0);
-  }
-  for (size_t w = 0; w < kBitmapWords; ++w) {
-    uint64_t word = occupied_[w];
-    while (word != 0) {
-      const size_t b = 64 * w + static_cast<size_t>(std::countr_zero(word));
-      buckets_[b].clear();
-      sorted_[b] = 0;
-      word &= word - 1;
-    }
-    occupied_[w] = 0;
-  }
-  if (n > node_state_.size()) {
-    node_state_.resize(n, NodeState{0.0, 0, 0});
-  }
-  if (epoch_ == std::numeric_limits<uint32_t>::max()) {
-    for (NodeState& s : node_state_) s.stamp = 0;
-    epoch_ = 1;
-  } else {
-    ++epoch_;
-  }
-  lo_ = lo;
-  const double range = hi - lo;
-  // Map [lo, hi] onto [0, kNumBuckets); a degenerate (or inverted) range
-  // collapses everything into bucket 0, which stays correct because pops
-  // scan the bucket for the exact minimum.
-  bucket_scale_ =
-      range > 0.0 ? static_cast<double>(kNumBuckets - 1) / range : 0.0;
-  size_ = 0;
-}
-
-size_t BucketFrontier::BucketOf(double key) const {
-  const double offset = (key - lo_) * bucket_scale_;
-  if (!(offset > 0.0)) return 0;  // below range (or NaN): clamp down
-  const size_t b = static_cast<size_t>(offset);
-  return b >= kNumBuckets ? kNumBuckets - 1 : b;  // above range: clamp up
-}
-
-bool BucketFrontier::PushOrDecrease(NodeId v, double key) {
-  NodeState& s = node_state_[v];
-  if (s.stamp == epoch_) {
-    if (s.popped == epoch_) return false;  // already extracted this reset
-    if (key >= s.key) return false;
-  } else {
-    s.stamp = epoch_;
-    s.popped = epoch_ - 1;
-    ++size_;
-  }
-  s.key = key;  // the old entry (if any) is now stale
-  const size_t b = BucketOf(key);
-  buckets_[b].push_back(Entry{key, v});
-  occupied_[b / 64] |= uint64_t{1} << (b % 64);
-  return true;
-}
-
-NodeId BucketFrontier::PopMin() {
-  assert(size_ > 0);
-  size_t w = 0;
-  while (true) {
-    while (occupied_[w] == 0) {
-      ++w;
-      assert(w < kBitmapWords && "PopMin on a frontier with no live entry");
-    }
-    const size_t b =
-        64 * w + static_cast<size_t>(std::countr_zero(occupied_[w]));
-    std::vector<Entry>& bucket = buckets_[b];
-    // Lower buckets hold no live entry — their bits are cleared when they
-    // drain, and a decrease republishes into its (lower) bucket and
-    // re-sets that bit — so this bucket's minimum is the global minimum.
-    if (bucket.size() != sorted_[b]) {
-      // Entries were appended since the last sort: compact stale ones
-      // (popped nodes, superseded keys) and re-sort so the exact minimum
-      // sits at the back.
-      size_t live = 0;
-      for (size_t i = 0; i < bucket.size(); ++i) {
-        const Entry e = bucket[i];
-        const NodeState& s = node_state_[e.node];
-        if (s.popped == epoch_ || e.key != s.key) continue;
-        bucket[live++] = e;
-      }
-      bucket.resize(live);
-      std::sort(bucket.begin(), bucket.end(),
-                [](const Entry& lhs, const Entry& rhs) {
-                  if (lhs.key != rhs.key) return lhs.key > rhs.key;
-                  // equal keys: smaller id pops first
-                  return lhs.node > rhs.node;
-                });
-      sorted_[b] = static_cast<uint32_t>(live);
-    }
-    while (!bucket.empty()) {
-      const Entry e = bucket.back();
-      bucket.pop_back();
-      sorted_[b] = static_cast<uint32_t>(bucket.size());
-      // Entries sorted before a decrease can still be stale; skip them.
-      NodeState& s = node_state_[e.node];
-      if (s.popped == epoch_ || e.key != s.key) continue;
-      if (bucket.empty()) occupied_[w] &= ~(uint64_t{1} << (b % 64));
-      s.popped = epoch_;
-      --size_;
-      return e.node;
-    }
-    occupied_[w] &= ~(uint64_t{1} << (b % 64));
-  }
-}
-
-size_t BucketFrontier::MemoryFootprintBytes() const {
-  size_t bytes = buckets_.capacity() * sizeof(std::vector<Entry>) +
-                 sorted_.capacity() * sizeof(uint32_t) +
-                 node_state_.capacity() * sizeof(NodeState);
-  for (const std::vector<Entry>& bucket : buckets_) {
-    bytes += bucket.capacity() * sizeof(Entry);
-  }
-  return bytes;
-}
-
-// --- DeltaSteppingFrontier -------------------------------------------------
-
-void DeltaSteppingFrontier::Reset(size_t n, double lo, double hi,
-                                  double delta) {
-  // Clear only the buckets the previous search dirtied (bitmap scan, like
-  // BucketFrontier) before resizing the bucket array for the new width.
-  for (size_t w = 0; w < occupied_.size(); ++w) {
-    uint64_t word = occupied_[w];
-    while (word != 0) {
-      const size_t b = 64 * w + static_cast<size_t>(std::countr_zero(word));
-      buckets_[b].clear();
-      sorted_[b] = 0;
-      word &= word - 1;
-    }
-    occupied_[w] = 0;
-  }
-  const double range = hi - lo;
-  size_t want = 1;
-  if (range > 0.0 && delta > 0.0 && std::isfinite(range / delta)) {
-    const double count = range / delta + 1.0;
-    want = count >= static_cast<double>(kMaxBuckets)
-               ? kMaxBuckets
-               : static_cast<size_t>(count);
-    if (want == 0) want = 1;
-  }
-  if (want > buckets_.size()) {
-    buckets_.resize(want);
-    sorted_.resize(want, 0);
-  }
-  occupied_.assign((want + 63) / 64, 0);
-  num_buckets_ = want;
-  if (n > node_state_.size()) {
-    node_state_.resize(n, NodeState{0.0, 0, 0});
-  }
-  if (epoch_ == std::numeric_limits<uint32_t>::max()) {
-    for (NodeState& s : node_state_) s.stamp = 0;
-    epoch_ = 1;
-  } else {
-    ++epoch_;
-  }
-  lo_ = lo;
-  bucket_scale_ =
-      range > 0.0 ? static_cast<double>(num_buckets_ - 1) / range : 0.0;
-  size_ = 0;
-}
-
-double DeltaSteppingFrontier::CalibrateDelta(double lo, double hi,
-                                             size_t expected_settles) {
-  const double range = hi - lo;
-  if (!(range > 0.0) || !std::isfinite(range)) return 1.0;
-  const size_t buckets =
-      std::clamp<size_t>(expected_settles, size_t{1}, kMaxBuckets);
-  return range / static_cast<double>(buckets);
-}
-
-size_t DeltaSteppingFrontier::BucketOf(double key) const {
-  const double offset = (key - lo_) * bucket_scale_;
-  if (!(offset > 0.0)) return 0;  // below range (or NaN): clamp down
-  const size_t b = static_cast<size_t>(offset);
-  return b >= num_buckets_ ? num_buckets_ - 1 : b;  // above range: clamp up
-}
-
-bool DeltaSteppingFrontier::PushOrDecrease(NodeId v, double key) {
-  NodeState& s = node_state_[v];
-  if (s.stamp == epoch_) {
-    if (s.popped == epoch_) return false;  // already extracted this reset
-    if (key >= s.key) return false;
-  } else {
-    s.stamp = epoch_;
-    s.popped = epoch_ - 1;
-    ++size_;
-  }
-  s.key = key;  // the old entry (if any) is now stale
-  const size_t b = BucketOf(key);
-  buckets_[b].push_back(Entry{key, v});
-  occupied_[b / 64] |= uint64_t{1} << (b % 64);
-  return true;
-}
-
-NodeId DeltaSteppingFrontier::PopMin() {
-  assert(size_ > 0);
-  size_t w = 0;
-  while (true) {
-    while (occupied_[w] == 0) {
-      ++w;
-      assert(w < occupied_.size() && "PopMin on a frontier with no live entry");
-    }
-    const size_t b =
-        64 * w + static_cast<size_t>(std::countr_zero(occupied_[w]));
-    std::vector<Entry>& bucket = buckets_[b];
-    // Lower buckets hold no live entry (their bits clear as they drain and
-    // decreases republish downward), so this bucket's exact minimum is the
-    // global minimum — same argument as BucketFrontier::PopMin.
-    if (bucket.size() != sorted_[b]) {
-      size_t live = 0;
-      for (size_t i = 0; i < bucket.size(); ++i) {
-        const Entry e = bucket[i];
-        const NodeState& s = node_state_[e.node];
-        if (s.popped == epoch_ || e.key != s.key) continue;
-        bucket[live++] = e;
-      }
-      bucket.resize(live);
-      std::sort(bucket.begin(), bucket.end(),
-                [](const Entry& lhs, const Entry& rhs) {
-                  if (lhs.key != rhs.key) return lhs.key > rhs.key;
-                  // equal keys: smaller id pops first
-                  return lhs.node > rhs.node;
-                });
-      sorted_[b] = static_cast<uint32_t>(live);
-    }
-    while (!bucket.empty()) {
-      const Entry e = bucket.back();
-      bucket.pop_back();
-      sorted_[b] = static_cast<uint32_t>(bucket.size());
-      NodeState& s = node_state_[e.node];
-      if (s.popped == epoch_ || e.key != s.key) continue;
-      if (bucket.empty()) occupied_[w] &= ~(uint64_t{1} << (b % 64));
-      s.popped = epoch_;
-      --size_;
-      return e.node;
-    }
-    occupied_[w] &= ~(uint64_t{1} << (b % 64));
-  }
-}
-
-size_t DeltaSteppingFrontier::MemoryFootprintBytes() const {
-  size_t bytes = buckets_.capacity() * sizeof(std::vector<Entry>) +
-                 sorted_.capacity() * sizeof(uint32_t) +
-                 occupied_.capacity() * sizeof(uint64_t) +
-                 node_state_.capacity() * sizeof(NodeState);
-  for (const std::vector<Entry>& bucket : buckets_) {
-    bytes += bucket.capacity() * sizeof(Entry);
-  }
-  return bytes;
 }
 
 // --- EpochUnionFind --------------------------------------------------------
@@ -451,9 +194,7 @@ size_t SearchWorkspace::MemoryFootprintBytes() const {
          origin_.capacity() * sizeof(NodeId) +
          tag_.capacity() * sizeof(uint32_t) +
          (mark_stamp_.capacity() + tag_stamp_.capacity()) * sizeof(uint32_t) +
-         heap_.MemoryFootprintBytes() + bucket_frontier_.MemoryFootprintBytes() +
-         delta_frontier_.MemoryFootprintBytes() +
-         union_find_.MemoryFootprintBytes() +
+         heap_.MemoryFootprintBytes() + union_find_.MemoryFootprintBytes() +
          pair_table_.MemoryFootprintBytes() +
          node_scratch_.capacity() * sizeof(NodeId) +
          edge_scratch_.capacity() * sizeof(EdgeId) +

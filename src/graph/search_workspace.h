@@ -19,13 +19,8 @@
 ///  - a settled-node flag set
 ///  - a mark set (terminal / target membership tests)
 ///  - a u32 tag map (dense node→index translations, small counters)
-///  - an indexed 4-ary min-heap with decrease-key (`IndexedMinHeap`)
-///  - a Dial-style bounded-range bucket frontier (`BucketFrontier`,
-///    self-resetting; selected by the PCST growth when its `CostView`
-///    reports a bounded cost range — DESIGN.md §4)
-///  - a calibrated-width delta-stepping frontier (`DeltaSteppingFrontier`,
-///    self-resetting; selected for wide weighted key ranges where the
-///    fixed 512-bucket Dial array degenerates — DESIGN.md §8)
+///  - an indexed 4-ary min-heap with decrease-key (`IndexedMinHeap`), the
+///    one priority queue of every search and of the PCST growth
 ///  - an epoch-stamped union-find (`EpochUnionFind`, self-resetting)
 ///  - a pair-keyed min table (`PairMinTable`, self-resetting; Mehlhorn's
 ///    per-cell-pair bridges)
@@ -119,169 +114,6 @@ class IndexedMinHeap {
   std::vector<uint32_t> pos_epoch_;
   uint32_t epoch_ = 0;
   size_t size_ = 0;
-};
-
-/// \brief Dial-style bucket frontier over dense node ids for priorities in
-/// a known bounded range.
-///
-/// The PCST growth loop (the one unit-cost-shaped kernel here) assigns
-/// each frontier node a *static* key — edge cost minus prize plus slack —
-/// whose range is known before the sweep starts: the `CostView` reports
-/// the cost range and the prize policy bounds the rest. For such keys a
-/// bucket array beats a heap: push and decrease-key are O(1) appends, and
-/// pop scans only the lowest non-empty bucket. Keys outside the declared
-/// range are clamped into the boundary buckets, so the bounds affect only
-/// performance, never correctness.
-///
-/// Pops are *exact*: the globally smallest key wins every pop (the active
-/// bucket is scanned for its minimum), with ties broken by smaller node
-/// id. The growth's automatic frontier selection only engages when keys
-/// are tie-free (see DESIGN.md §4), which makes the bucket pop sequence
-/// provably identical to the indexed heap's — bit-identical summaries.
-///
-/// Same contract as `IndexedMinHeap`: each node pops at most once per
-/// `Reset`; a push for a popped node is rejected; a push with a key not
-/// smaller than the node's current one is rejected. Decreases leave a
-/// stale entry behind (lazy deletion), which pops skip.
-class BucketFrontier {
- public:
-  /// Prepares the frontier for ids in [0, n) and keys in [\p lo, \p hi].
-  /// O(#buckets) plus O(1) amortized growth.
-  void Reset(size_t n, double lo, double hi);
-
-  bool Empty() const { return size_ == 0; }
-  size_t size() const { return size_; }
-
-  /// Inserts \p v with \p key, or lowers its key if already queued with a
-  /// larger one. Returns true iff the frontier changed.
-  bool PushOrDecrease(NodeId v, double key);
-
-  /// Removes and returns the node with the smallest key (ties: smallest
-  /// node id); requires `!Empty()`.
-  NodeId PopMin();
-
-  size_t MemoryFootprintBytes() const;
-
- private:
-  /// Bucket resolution. 512 spans the [1, 2]-cost regimes here at ~2e-3
-  /// key granularity; resolution only affects how many entries one pop
-  /// scans, never which node pops.
-  static constexpr size_t kNumBuckets = 512;
-
-  struct Entry {
-    double key;
-    NodeId node;
-  };
-
-  static constexpr size_t kBitmapWords = kNumBuckets / 64;
-
-  /// Per-node frontier state on one 16-byte record (one random memory
-  /// access per offer): the current key, its validity stamp, and the
-  /// popped stamp (valid only while `stamp == epoch`).
-  struct NodeState {
-    double key;
-    uint32_t stamp;
-    uint32_t popped;
-  };
-
-  size_t BucketOf(double key) const;
-
-  std::vector<std::vector<Entry>> buckets_;
-  /// Number of leading entries of each bucket that are compacted and
-  /// sorted descending by (key, node id) — pops read the exact minimum off
-  /// the back in O(1). A push appends past the watermark; the next pop of
-  /// that bucket recompacts and re-sorts (rare: a push lands in the
-  /// currently-draining bucket only when its key falls within the active
-  /// 1/kNumBuckets slice of the range).
-  std::vector<uint32_t> sorted_;
-  /// One bit per non-empty bucket: pops find the lowest candidate bucket
-  /// with a find-first-set over 8 words instead of walking empty buckets,
-  /// and Reset clears only the buckets whose bit is set.
-  uint64_t occupied_[kBitmapWords] = {};
-  std::vector<NodeState> node_state_;
-  double lo_ = 0.0;
-  double bucket_scale_ = 0.0;  // buckets per key unit
-  size_t size_ = 0;            // queued (not yet popped) nodes
-  uint32_t epoch_ = 0;
-};
-
-/// \brief Calibrated-width bucket frontier for weight-aware key regimes —
-/// the Meyer–Sanders delta-stepping bucket structure with exact-min pops.
-///
-/// `BucketFrontier` maps the key range onto a *fixed* 512-bucket array,
-/// which works when the range is a couple of cost units (the unit-cost
-/// PCST regimes) but degrades on wide weighted ranges: hundreds of frontier
-/// nodes collapse into one bucket and every pop re-sorts it. This frontier
-/// instead takes an explicit bucket width Δ (classically: the light-edge
-/// threshold) and sizes the bucket array to ⌈range/Δ⌉, so per-bucket
-/// occupancy stays O(1) regardless of the range — push/decrease stay O(1)
-/// appends and pops scan a handful of entries.
-///
-/// Unlike textbook delta-stepping, pops are *exact*: the globally smallest
-/// key wins every pop (ties: smaller node id), identical to
-/// `BucketFrontier` and — on tie-free keys — to `IndexedMinHeap`. True
-/// bucket-at-a-time relaxation would reorder settles within a bucket and
-/// perturb parent choices, breaking the bit-identity contract every
-/// summary path is gated on (DESIGN.md §8); the calibrated width already
-/// recovers the O(1) bucket operations that motivate delta-stepping.
-///
-/// Same contract as the other frontiers: each node pops at most once per
-/// `Reset`; stale entries (popped nodes, superseded keys) are skipped
-/// lazily.
-class DeltaSteppingFrontier {
- public:
-  /// Prepares the frontier for ids in [0, n), keys in [\p lo, \p hi], and
-  /// bucket width \p delta (> 0; non-positive or non-finite collapses to a
-  /// single bucket). Bucket count is clamped to `kMaxBuckets`.
-  void Reset(size_t n, double lo, double hi, double delta);
-
-  bool Empty() const { return size_ == 0; }
-  size_t size() const { return size_; }
-  size_t num_buckets() const { return num_buckets_; }
-
-  /// Inserts \p v with \p key, or lowers its key if already queued with a
-  /// larger one. Returns true iff the frontier changed.
-  bool PushOrDecrease(NodeId v, double key);
-
-  /// Removes and returns the node with the smallest key (ties: smallest
-  /// node id); requires `!Empty()`.
-  NodeId PopMin();
-
-  /// Width that targets ~1 expected settle per bucket: range divided by
-  /// the expected number of settles, clamped so the bucket count stays in
-  /// [1, kMaxBuckets]. The width only affects how many entries one pop
-  /// scans, never which node pops.
-  static double CalibrateDelta(double lo, double hi, size_t expected_settles);
-
-  size_t MemoryFootprintBytes() const;
-
- private:
-  /// Upper bound on the bucket array (64 KiB of bucket headers): past this
-  /// the per-bucket occupancy target is abandoned in favor of bounded
-  /// reset cost.
-  static constexpr size_t kMaxBuckets = size_t{1} << 14;
-
-  struct Entry {
-    double key;
-    NodeId node;
-  };
-  struct NodeState {
-    double key;
-    uint32_t stamp;
-    uint32_t popped;
-  };
-
-  size_t BucketOf(double key) const;
-
-  std::vector<std::vector<Entry>> buckets_;
-  std::vector<uint32_t> sorted_;      // per-bucket compacted+sorted watermark
-  std::vector<uint64_t> occupied_;    // one bit per non-empty bucket
-  std::vector<NodeState> node_state_;
-  double lo_ = 0.0;
-  double bucket_scale_ = 0.0;  // buckets per key unit (1/Δ)
-  size_t num_buckets_ = 0;
-  size_t size_ = 0;
-  uint32_t epoch_ = 0;
 };
 
 /// \brief Epoch-stamped disjoint-set forest over dense node ids.
@@ -474,12 +306,6 @@ class SearchWorkspace {
   // --- sub-structures ----------------------------------------------------
 
   IndexedMinHeap& heap() { return heap_; }
-  /// Self-resetting: call `bucket_frontier().Reset(n, lo, hi)` before each
-  /// use (the key range is query-specific, so `Begin` cannot reset it).
-  BucketFrontier& bucket_frontier() { return bucket_frontier_; }
-  /// Self-resetting: call `delta_frontier().Reset(n, lo, hi, delta)` before
-  /// each use.
-  DeltaSteppingFrontier& delta_frontier() { return delta_frontier_; }
   /// Self-resetting: call `union_find().Reset(n)` before each use.
   EpochUnionFind& union_find() { return union_find_; }
   /// Self-resetting: call `pair_table().Reset()` before each use.
@@ -529,8 +355,6 @@ class SearchWorkspace {
   uint32_t epoch_ = 0;
 
   IndexedMinHeap heap_;
-  BucketFrontier bucket_frontier_;
-  DeltaSteppingFrontier delta_frontier_;
   EpochUnionFind union_find_;
   PairMinTable pair_table_;
 

@@ -142,7 +142,7 @@ Result<std::shared_ptr<const SummaryRecord>> SummaryService::ComputeWaveOn(
     }
   }
   // Leader first; the wave answers result[i] for tasks[i], so the order
-  // only fixes which lane each request rides — every result is
+  // only fixes which slot each request takes — every result is
   // bit-identical to its own solo compute regardless.
   std::vector<const core::SummaryTask*> tasks;
   tasks.reserve(members.size() + 1);
@@ -182,17 +182,7 @@ Result<std::shared_ptr<const SummaryRecord>> SummaryService::ComputeWaveOn(
       record = std::make_shared<const SummaryRecord>(std::move(*r));
       cache_.Insert(m.key, record, /*chain=*/nullptr, m.route_key);
     }
-    {
-      sync::MutexLock lock(m.flight->mutex);
-      m.flight->done = true;
-      m.flight->status = r.status();
-      m.flight->record = record;
-    }
-    {
-      sync::MutexLock lock(flights_mutex_);
-      flights_.erase(m.key);
-    }
-    m.flight->cv.notify_all();
+    CompleteFlight(m.key, *m.flight, r.status(), std::move(record));
   }
   Result<core::Summary>& own = results[0];
   if (!own.ok()) return own.status();
@@ -280,6 +270,18 @@ Result<std::shared_ptr<const SummaryRecord>> SummaryService::Summarize(
     if (!status.ok()) return status;
     return record;
   }
+  // The leader of an earlier flight for this key may have inserted its
+  // record and deregistered between our cache miss and our registration.
+  // Its record answers this request, counted once, as coalesced.
+  if (std::shared_ptr<const SummaryRecord> landed = cache_.Peek(key)) {
+    CompleteFlight(key, *flight, Status::OK(), landed);
+    {
+      sync::MutexLock stats_lock(stats_mutex_);
+      ++coalesced_;
+    }
+    RecordLatency(timer.ElapsedMillis(), /*error=*/false);
+    return landed;
+  }
 
   // Incremental assist: a k-sweep caller names the same unit's k−1 task;
   // its cached chain checkpoint (recorded under the same snapshot version
@@ -299,9 +301,9 @@ Result<std::shared_ptr<const SummaryRecord>> SummaryService::Summarize(
   // Micro-batching window (DESIGN.md §8): wave-eligible leaders — KMB
   // Steiner misses with no usable chain predecessor — rendezvous with
   // concurrent eligible misses on the same (snapshot, options) and are
-  // answered by one multi-query kernel wave. Off by default; responses
-  // are bit-identical either way, the window only trades a bounded wait
-  // for amortized traversal under concurrent miss bursts.
+  // answered by one KMB wave. Off by default; responses are bit-identical
+  // either way, the window only trades a bounded wait for the closure
+  // searches concurrent miss bursts share.
   std::shared_ptr<core::SummaryChain> out_chain;
   Result<std::shared_ptr<const SummaryRecord>> result =
       Status::Internal("SummaryService: compute not reached");
@@ -403,19 +405,26 @@ Result<std::shared_ptr<const SummaryRecord>> SummaryService::Summarize(
   if (result.ok()) {
     cache_.Insert(key, *result, std::move(out_chain), route_key);
   }
+  CompleteFlight(key, *flight, result.status(),
+                 result.ok() ? *result : nullptr);
+  RecordLatency(timer.ElapsedMillis(), !result.ok());
+  return result;
+}
+
+void SummaryService::CompleteFlight(
+    const CacheKey& key, Flight& flight, const Status& status,
+    std::shared_ptr<const SummaryRecord> record) {
   {
-    sync::MutexLock lock(flight->mutex);
-    flight->done = true;
-    flight->status = result.status();
-    if (result.ok()) flight->record = *result;
+    sync::MutexLock lock(flight.mutex);
+    flight.done = true;
+    flight.status = status;
+    flight.record = std::move(record);
   }
   {
     sync::MutexLock lock(flights_mutex_);
     flights_.erase(key);
   }
-  flight->cv.notify_all();
-  RecordLatency(timer.ElapsedMillis(), !result.ok());
-  return result;
+  flight.cv.notify_all();
 }
 
 Status SummaryService::ImportChain(const CacheKey& key, uint64_t route_key,

@@ -68,10 +68,6 @@ void FingerprintTask(const core::SummaryTask& task,
   fp.Mix((options.pcst.use_edge_weights ? 2 : 0) |
          (options.pcst.strong_prune ? 1 : 0));
   fp.MixDouble(options.pcst.growth_slack);
-  // A *forced* frontier can change tie-breaking (and thus the summary)
-  // when growth keys collide; kAuto never can, but mixing the knob keeps
-  // the key an injective image of the options either way.
-  fp.Mix(static_cast<uint64_t>(options.pcst.frontier));
   *fp_hi = fp.hi;
   *fp_lo = fp.lo;
 }
@@ -119,6 +115,13 @@ std::shared_ptr<const SummaryRecord> SummaryCache::Lookup(
   ++shard.hits;
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   return it->second->record;
+}
+
+std::shared_ptr<const SummaryRecord> SummaryCache::Peek(const CacheKey& key) {
+  Shard& shard = ShardFor(key);
+  sync::MutexLock lock(shard.mutex);
+  auto it = shard.map.find(key);
+  return it == shard.map.end() ? nullptr : it->second->record;
 }
 
 std::shared_ptr<const core::SummaryChain> SummaryCache::LookupChain(

@@ -174,6 +174,12 @@ class SummaryCache {
   /// or nullptr on miss.
   std::shared_ptr<const SummaryRecord> Lookup(const CacheKey& key);
 
+  /// Returns the cached record for \p key, or nullptr, without touching
+  /// the hit/miss counters or the LRU order: the service's re-check after
+  /// a request that already missed wins its single-flight registration,
+  /// which must not count the request twice.
+  std::shared_ptr<const SummaryRecord> Peek(const CacheKey& key);
+
   /// Returns the chain checkpoint stored alongside \p key's record, or
   /// nullptr when the key is absent or was inserted without one. Does not
   /// touch the hit/miss counters or the LRU order: this is the internal

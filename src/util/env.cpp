@@ -91,10 +91,6 @@ const std::vector<EnvVarInfo>& EnvVarCatalog() {
       {"XSUM_WORKERS", "int", "0 (auto)", ">= 0",
        "eval benches, examples (panel evaluation)",
        "worker threads for panel evaluation; 0 = one per hardware thread"},
-      {"XSUM_FRONTIER", "string", "auto",
-       "auto, heap, bucket, or delta", "PCST growth (core/pcst)",
-       "frontier structure override for PCST growth; auto picks by "
-       "search volume (heap < 20k nodes, bucket < 64k, delta above)"},
       {"XSUM_CACHE", "int", "1", "0 or 1", "eval benches, xsum_server",
        "route panel/service summarization through the summary cache"},
       {"XSUM_CACHE_MB", "int", "64", ">= 0", "eval benches, xsum_server",
@@ -102,7 +98,7 @@ const std::vector<EnvVarInfo>& EnvVarCatalog() {
       {"XSUM_BATCH_WINDOW_US", "int", "0 (off)", ">= 0",
        "xsum_server, bench_service",
        "service micro-batching window in microseconds: concurrent "
-       "cache-miss computes coalesce into one multi-query kernel wave"},
+       "cache-miss computes coalesce into one KMB wave"},
       {"XSUM_BATCH_MAX", "int", "8", ">= 2",
        "xsum_server, bench_service",
        "requests per wave at which the micro-batching window closes early"},

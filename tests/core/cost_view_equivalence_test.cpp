@@ -1,11 +1,10 @@
 /// Property tests of the unified CostView layer (DESIGN.md §4): the
 /// refactored kernels and every view-sharing route above them must be
 /// bit-identical to the pre-refactor computation — per-relaxation
-/// `costs[edge]` gathers, per-task cost rebuilds, and the indexed-heap
-/// PCST frontier.
+/// `costs[edge]` gathers and per-task cost rebuilds.
 ///
 /// Coverage axes: cost modes × Eq. (1) weight overlays (λ, input paths) ×
-/// worker counts × heap-vs-bucket frontier selection.
+/// worker counts.
 
 #include <algorithm>
 #include <cstring>
@@ -229,89 +228,6 @@ TEST(CostViewEquivalenceTest, WorkerCountsAreBitIdentical) {
       ASSERT_TRUE(b[i].ok()) << b[i].status();
       ExpectIdentical(*a[i], *b[i]);
     }
-  }
-}
-
-TEST(CostViewEquivalenceTest, BucketFrontierBitIdenticalToHeapPath) {
-  // In the tie-free regime (growth_slack > 0) the Dial bucket frontier
-  // and the delta-stepping frontier must reproduce the indexed-heap
-  // growth exactly: same tree, same unreached set, bit-identical
-  // objective. kAuto must agree with all of them.
-  const Fixture f = MakeFixture(0.04, 35);
-  SearchWorkspace heap_ws;
-  SearchWorkspace bucket_ws;
-  SearchWorkspace delta_ws;
-  SearchWorkspace auto_ws;
-  CostView unit_view;
-  unit_view.AssignUnit(f.rg.graph());
-  Rng rng(95);
-  for (const double slack : {0.1, 0.5, 2.0}) {
-    for (const bool strong_prune : {false, true}) {
-      for (int round = 0; round < 3; ++round) {
-        const SummaryTask task = RandomTask(f.rg, 4 + 5 * round, 0, &rng);
-        PcstOptions options;
-        options.growth_slack = slack;
-        options.strong_prune = strong_prune;
-
-        options.frontier = PcstOptions::Frontier::kHeap;
-        const auto heap_result = PcstSummary(
-            unit_view, f.rg.base_weights(), task.terminals, options, &heap_ws);
-        options.frontier = PcstOptions::Frontier::kBucket;
-        const auto bucket_result =
-            PcstSummary(unit_view, f.rg.base_weights(), task.terminals,
-                        options, &bucket_ws);
-        options.frontier = PcstOptions::Frontier::kDelta;
-        const auto delta_result =
-            PcstSummary(unit_view, f.rg.base_weights(), task.terminals,
-                        options, &delta_ws);
-        options.frontier = PcstOptions::Frontier::kAuto;
-        const auto auto_result = PcstSummary(
-            unit_view, f.rg.base_weights(), task.terminals, options, &auto_ws);
-
-        ASSERT_TRUE(heap_result.ok());
-        ASSERT_TRUE(bucket_result.ok());
-        ASSERT_TRUE(delta_result.ok());
-        ASSERT_TRUE(auto_result.ok());
-        EXPECT_EQ(heap_result->tree.nodes(), bucket_result->tree.nodes());
-        EXPECT_EQ(heap_result->tree.edges(), bucket_result->tree.edges());
-        EXPECT_EQ(heap_result->unreached_terminals,
-                  bucket_result->unreached_terminals);
-        EXPECT_EQ(heap_result->objective, bucket_result->objective);
-        EXPECT_EQ(heap_result->tree.nodes(), delta_result->tree.nodes());
-        EXPECT_EQ(heap_result->tree.edges(), delta_result->tree.edges());
-        EXPECT_EQ(heap_result->unreached_terminals,
-                  delta_result->unreached_terminals);
-        EXPECT_EQ(heap_result->objective, delta_result->objective);
-        EXPECT_EQ(heap_result->tree.nodes(), auto_result->tree.nodes());
-        EXPECT_EQ(heap_result->tree.edges(), auto_result->tree.edges());
-        EXPECT_EQ(heap_result->objective, auto_result->objective);
-      }
-    }
-  }
-}
-
-TEST(CostViewEquivalenceTest, AutoSelectionKeepsHeapSemanticsAtZeroSlack) {
-  // With slack 0 every growth key collapses to the same value, ordering is
-  // pure tie-breaking, and kAuto must keep the indexed heap (the
-  // compatibility anchor): identical results to a forced-heap run.
-  const Fixture f = MakeFixture(0.03, 36);
-  SearchWorkspace a_ws;
-  SearchWorkspace b_ws;
-  Rng rng(96);
-  for (int round = 0; round < 4; ++round) {
-    const SummaryTask task = RandomTask(f.rg, 5 + 2 * round, 0, &rng);
-    PcstOptions heap_options;
-    heap_options.frontier = PcstOptions::Frontier::kHeap;
-    PcstOptions auto_options;  // default: kAuto, slack 0
-    const auto forced = PcstSummary(f.rg.graph(), f.rg.base_weights(),
-                                    task.terminals, heap_options, &a_ws);
-    const auto chosen = PcstSummary(f.rg.graph(), f.rg.base_weights(),
-                                    task.terminals, auto_options, &b_ws);
-    ASSERT_TRUE(forced.ok());
-    ASSERT_TRUE(chosen.ok());
-    EXPECT_EQ(forced->tree.nodes(), chosen->tree.nodes());
-    EXPECT_EQ(forced->tree.edges(), chosen->tree.edges());
-    EXPECT_EQ(forced->objective, chosen->objective);
   }
 }
 

@@ -1,7 +1,7 @@
 /// Property tests of the incremental k-sweep summarization engine
 /// (core/incremental.h): chained summaries must be bit-identical to
 /// from-scratch ones across methods (ST-KMB / ST-Mehlhorn / PCST /
-/// baseline), scenarios, λ overlays, worker counts, frontier choices, and
+/// baseline), scenarios, λ overlays, worker counts, PCST growth slack, and
 /// both closure-store retention modes — reuse may only engage where it is
 /// provably exact. Also the regression tests of the unified perf
 /// accounting (Summary::elapsed_ms / memory_bytes filled on every path).
@@ -96,13 +96,12 @@ std::vector<SummarizerOptions> MethodLineup() {
   st_unit.cost_mode = CostMode::kUnit;
   st_unit.steiner.variant = SteinerOptions::Variant::kKmb;
   methods.push_back(st_unit);
-  for (auto frontier :
-       {PcstOptions::Frontier::kAuto, PcstOptions::Frontier::kHeap,
-        PcstOptions::Frontier::kBucket, PcstOptions::Frontier::kDelta}) {
+  // PCST at the wire default (slack 0, where unit-cost keys tie) and with
+  // the moat-discretization slack.
+  for (double slack : {0.0, 0.5}) {
     SummarizerOptions pcst;
     pcst.method = SummaryMethod::kPcst;
-    pcst.pcst.frontier = frontier;
-    pcst.pcst.growth_slack = 0.5;  // tie-free regime: all frontiers agree
+    pcst.pcst.growth_slack = slack;
     methods.push_back(pcst);
   }
   return methods;

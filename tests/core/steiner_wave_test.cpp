@@ -2,9 +2,11 @@
 /// return, slot for slot, exactly what the sequential `SteinerTree` call
 /// returns for the same terminal set — tree nodes/edges, unreached
 /// terminals, workspace_bytes accounting, and error statuses — across
-/// single-task waves, wide waves that exercise the internal chunking, the
-/// Mehlhorn fallback, and heavy workspace reuse.
+/// single-task waves, wide waves, sources shared by tasks with different
+/// target sets, the Mehlhorn fallback, and heavy workspace reuse.
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,7 +14,6 @@
 #include "core/steiner.h"
 #include "graph/cost_view.h"
 #include "graph/knowledge_graph.h"
-#include "graph/multi_query.h"
 #include "graph/search_workspace.h"
 #include "util/rng.h"
 
@@ -65,7 +66,6 @@ TEST(SteinerWaveTest, RandomizedWavesMatchSequentialSlotBySlot) {
   Rng rng(808);
   graph::SearchWorkspace wave_ws;
   graph::SearchWorkspace solo_ws;
-  graph::MultiQueryWorkspace mq;
   for (int round = 0; round < 8; ++round) {
     const size_t n = 30 + rng.Uniform(200);
     std::vector<double> costs;
@@ -85,7 +85,7 @@ TEST(SteinerWaveTest, RandomizedWavesMatchSequentialSlotBySlot) {
     SteinerOptions options;
     options.variant = SteinerOptions::Variant::kKmb;
     const auto wave =
-        SteinerTreeWave(view, terminal_sets, options, &wave_ws, &mq);
+        SteinerTreeWave(view, terminal_sets, options, &wave_ws);
     ASSERT_EQ(wave.size(), wave_size);
     for (size_t i = 0; i < wave_size; ++i) {
       const auto solo = SteinerTree(view, terminal_sets[i], options, &solo_ws);
@@ -94,9 +94,55 @@ TEST(SteinerWaveTest, RandomizedWavesMatchSequentialSlotBySlot) {
   }
 }
 
-TEST(SteinerWaveTest, WideWaveExercisesChunkingAndStaysIdentical) {
-  // 70 tasks > kMaxWaveWidth (64): the wave must chunk internally and
-  // remain slot-identical to sequential calls across the chunk boundary.
+TEST(SteinerWaveTest, SharedSourcesWithDifferentTargetSetsMatchSequential) {
+  // Every task draws its terminals from one pool of 10 nodes, so each
+  // source serves several tasks with different target sets, and the wave
+  // searches it once to their union. Tasks come in pairs whose first
+  // terminal set is a strict subset of the second, listed first: a search
+  // that stopped at the first task's targets would leave the second task's
+  // extra targets unsettled.
+  Rng rng(1201);
+  graph::SearchWorkspace wave_ws;
+  graph::SearchWorkspace solo_ws;
+  for (int round = 0; round < 6; ++round) {
+    const size_t n = 150 + rng.Uniform(150);
+    std::vector<double> costs;
+    const KnowledgeGraph g = RandomGraph(n, 2 * n, 1300 + round, &costs);
+    CostView view;
+    view.Assign(g, costs);
+    std::vector<NodeId> pool;
+    while (pool.size() < 10) {
+      const NodeId v = static_cast<NodeId>(rng.Uniform(n));
+      if (std::find(pool.begin(), pool.end(), v) == pool.end()) {
+        pool.push_back(v);
+      }
+    }
+    std::vector<std::vector<NodeId>> terminal_sets;
+    for (int pair = 0; pair < 4; ++pair) {
+      std::vector<NodeId> drawn = pool;
+      for (size_t i = 0; i < 6; ++i) {
+        std::swap(drawn[i], drawn[i + rng.Uniform(drawn.size() - i)]);
+      }
+      drawn.resize(6);
+      const size_t k = 3 + rng.Uniform(3);
+      terminal_sets.emplace_back(drawn.begin(), drawn.begin() + k);
+      terminal_sets.push_back(drawn);
+    }
+
+    SteinerOptions options;
+    options.variant = SteinerOptions::Variant::kKmb;
+    const auto wave = SteinerTreeWave(view, terminal_sets, options, &wave_ws);
+    ASSERT_EQ(wave.size(), terminal_sets.size());
+    for (size_t i = 0; i < terminal_sets.size(); ++i) {
+      const auto solo = SteinerTree(view, terminal_sets[i], options, &solo_ws);
+      ExpectSlotIdentical(wave[i], solo, i);
+    }
+  }
+}
+
+TEST(SteinerWaveTest, WideWaveStaysIdentical) {
+  // 70 tasks of 3 terminals over 120 nodes: many sources recur across
+  // tasks, and every slot stays identical to its sequential call.
   std::vector<double> costs;
   const KnowledgeGraph g = RandomGraph(120, 300, 909, &costs);
   CostView view;
@@ -112,9 +158,7 @@ TEST(SteinerWaveTest, WideWaveExercisesChunkingAndStaysIdentical) {
   options.variant = SteinerOptions::Variant::kKmb;
   graph::SearchWorkspace wave_ws;
   graph::SearchWorkspace solo_ws;
-  graph::MultiQueryWorkspace mq;
-  const auto wave = SteinerTreeWave(view, terminal_sets, options, &wave_ws,
-                                    &mq);
+  const auto wave = SteinerTreeWave(view, terminal_sets, options, &wave_ws);
   ASSERT_EQ(wave.size(), terminal_sets.size());
   for (size_t i = 0; i < terminal_sets.size(); ++i) {
     const auto solo = SteinerTree(view, terminal_sets[i], options, &solo_ws);
@@ -136,9 +180,7 @@ TEST(SteinerWaveTest, BadTaskFailsItsSlotWithoutPoisoningTheWave) {
   options.variant = SteinerOptions::Variant::kKmb;
   graph::SearchWorkspace wave_ws;
   graph::SearchWorkspace solo_ws;
-  graph::MultiQueryWorkspace mq;
-  const auto wave = SteinerTreeWave(view, terminal_sets, options, &wave_ws,
-                                    &mq);
+  const auto wave = SteinerTreeWave(view, terminal_sets, options, &wave_ws);
   ASSERT_EQ(wave.size(), 3u);
   for (size_t i = 0; i < terminal_sets.size(); ++i) {
     const auto solo = SteinerTree(view, terminal_sets[i], options, &solo_ws);
@@ -165,9 +207,7 @@ TEST(SteinerWaveTest, MehlhornWaveFallsBackToSequentialResults) {
   options.variant = SteinerOptions::Variant::kMehlhorn;
   graph::SearchWorkspace wave_ws;
   graph::SearchWorkspace solo_ws;
-  graph::MultiQueryWorkspace mq;
-  const auto wave = SteinerTreeWave(view, terminal_sets, options, &wave_ws,
-                                    &mq);
+  const auto wave = SteinerTreeWave(view, terminal_sets, options, &wave_ws);
   ASSERT_EQ(wave.size(), terminal_sets.size());
   for (size_t i = 0; i < terminal_sets.size(); ++i) {
     const auto solo = SteinerTree(view, terminal_sets[i], options, &solo_ws);

@@ -60,7 +60,6 @@ TEST(CostViewTest, SlotsMirrorAdjacencyWithInterleavedCosts) {
   const auto [min_it, max_it] = std::minmax_element(costs.begin(), costs.end());
   EXPECT_EQ(view.min_cost(), *min_it);
   EXPECT_EQ(view.max_cost(), *max_it);
-  EXPECT_TRUE(view.has_bounded_costs());
 }
 
 TEST(CostViewTest, VersionsAreUniqueAndRebuildLeavesNoStaleState) {

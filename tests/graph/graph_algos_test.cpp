@@ -1,9 +1,8 @@
-/// Tests for union-find, BFS, Kruskal MST, and weak connectivity.
+/// Tests for union-find, BFS, and Kruskal MST.
 
 #include <gtest/gtest.h>
 
 #include "graph/bfs.h"
-#include "graph/connectivity.h"
 #include "graph/knowledge_graph.h"
 #include "graph/mst.h"
 #include "graph/union_find.h"
@@ -172,35 +171,6 @@ TEST(KruskalTest, MstWeightMatchesBruteForceOnRandomGraphs) {
     }
     EXPECT_NEAR(kruskal_weight, best, 1e-9);
   }
-}
-
-// --- connectivity ------------------------------------------------------------------
-
-TEST(ConnectivityTest, SingleComponent) {
-  const KnowledgeGraph g = MakeStar(5);
-  const auto comps = WeaklyConnectedComponents(g);
-  EXPECT_EQ(comps.num_components, 1u);
-  EXPECT_EQ(comps.sizes[0], 6u);
-  EXPECT_TRUE(IsWeaklyConnected(g));
-}
-
-TEST(ConnectivityTest, MultipleComponents) {
-  GraphBuilder builder;
-  builder.AddNodes(NodeType::kEntity, 5);
-  ASSERT_TRUE(builder.AddEdge(0, 1, Relation::kRelatedTo, 1.0).ok());
-  ASSERT_TRUE(builder.AddEdge(2, 3, Relation::kRelatedTo, 1.0).ok());
-  const KnowledgeGraph g = std::move(builder).Finalize();
-  const auto comps = WeaklyConnectedComponents(g);
-  EXPECT_EQ(comps.num_components, 3u);  // {0,1}, {2,3}, {4}
-  EXPECT_EQ(comps.component[0], comps.component[1]);
-  EXPECT_NE(comps.component[0], comps.component[2]);
-  EXPECT_FALSE(IsWeaklyConnected(g));
-}
-
-TEST(ConnectivityTest, EmptyGraphIsConnected) {
-  GraphBuilder builder;
-  const KnowledgeGraph g = std::move(builder).Finalize();
-  EXPECT_TRUE(IsWeaklyConnected(g));
 }
 
 }  // namespace

@@ -91,186 +91,6 @@ TEST(IndexedMinHeapTest, RandomizedAgainstSort) {
   }
 }
 
-TEST(BucketFrontierTest, PopsExactMinWithNodeIdTies) {
-  BucketFrontier frontier;
-  frontier.Reset(16, 0.0, 10.0);
-  const std::vector<double> keys = {5.0, 1.0, 9.0, 3.5, 0.5, 7.0, 3.5};
-  for (NodeId v = 0; v < keys.size(); ++v) {
-    EXPECT_TRUE(frontier.PushOrDecrease(v, keys[v]));
-  }
-  // Exact key order; the 3.5 tie breaks by smaller node id (3 before 6).
-  const std::vector<NodeId> expected = {4, 1, 3, 6, 0, 5, 2};
-  for (NodeId want : expected) {
-    ASSERT_FALSE(frontier.Empty());
-    EXPECT_EQ(frontier.PopMin(), want);
-  }
-  EXPECT_TRUE(frontier.Empty());
-}
-
-TEST(BucketFrontierTest, DecreaseReordersPopRejectedAndOutOfRangeClamps) {
-  BucketFrontier frontier;
-  frontier.Reset(8, 1.0, 2.0);
-  frontier.PushOrDecrease(0, 1.8);
-  frontier.PushOrDecrease(1, 1.2);
-  EXPECT_FALSE(frontier.PushOrDecrease(0, 1.9));  // increase: no-op
-  EXPECT_TRUE(frontier.PushOrDecrease(0, 1.1));   // decrease: now ahead of 1
-  // Keys outside the declared range still order correctly (clamped bucket,
-  // exact within-bucket scan).
-  frontier.PushOrDecrease(2, 0.25);  // below lo
-  frontier.PushOrDecrease(3, 5.0);   // above hi
-  EXPECT_EQ(frontier.PopMin(), 2u);
-  EXPECT_EQ(frontier.PopMin(), 0u);
-  // A popped node cannot re-enter until the next Reset.
-  EXPECT_FALSE(frontier.PushOrDecrease(0, 0.1));
-  EXPECT_EQ(frontier.PopMin(), 1u);
-  EXPECT_EQ(frontier.PopMin(), 3u);
-  EXPECT_TRUE(frontier.Empty());
-  frontier.Reset(8, 1.0, 2.0);
-  EXPECT_TRUE(frontier.PushOrDecrease(0, 0.1));
-  EXPECT_EQ(frontier.PopMin(), 0u);
-}
-
-TEST(BucketFrontierTest, RandomizedMatchesIndexedHeapPopSequence) {
-  // With distinct keys the bucket frontier must reproduce the indexed
-  // heap's pop sequence exactly — the property the PCST growth's automatic
-  // frontier selection relies on (DESIGN.md §4).
-  Rng rng(1234);
-  for (int round = 0; round < 20; ++round) {
-    const size_t n = 1 + rng.Uniform(300);
-    IndexedMinHeap heap;
-    BucketFrontier frontier;
-    heap.Reset(n);
-    frontier.Reset(n, 0.0, 1.0);
-    std::vector<double> best(n, -1.0);
-    for (int op = 0; op < 500; ++op) {
-      const NodeId v = static_cast<NodeId>(rng.Uniform(n));
-      // Distinct-by-construction keys: a fresh uniform double plus a
-      // node-dependent offset far below the uniform's resolution.
-      const double key =
-          static_cast<double>(rng.Uniform(1 << 20)) / (1 << 20) +
-          static_cast<double>(v) * 0x1.0p-40;
-      const bool heap_changed = heap.PushOrDecrease(v, key);
-      const bool frontier_changed = frontier.PushOrDecrease(v, key);
-      EXPECT_EQ(heap_changed, frontier_changed);
-      if (heap_changed) best[v] = key;
-    }
-    EXPECT_EQ(heap.size(), frontier.size());
-    while (!heap.Empty()) {
-      ASSERT_FALSE(frontier.Empty());
-      const NodeId from_heap = heap.PopMin();
-      const NodeId from_frontier = frontier.PopMin();
-      EXPECT_EQ(from_heap, from_frontier);
-      EXPECT_DOUBLE_EQ(best[from_heap], best[from_frontier]);
-    }
-    EXPECT_TRUE(frontier.Empty());
-  }
-}
-
-TEST(DeltaSteppingFrontierTest, PopsExactMinWithNodeIdTies) {
-  DeltaSteppingFrontier frontier;
-  frontier.Reset(16, 0.0, 10.0, 2.0);
-  const std::vector<double> keys = {5.0, 1.0, 9.0, 3.5, 0.5, 7.0, 3.5};
-  for (NodeId v = 0; v < keys.size(); ++v) {
-    EXPECT_TRUE(frontier.PushOrDecrease(v, keys[v]));
-  }
-  // Exact key order despite coarse buckets; 3.5 ties break by node id.
-  const std::vector<NodeId> expected = {4, 1, 3, 6, 0, 5, 2};
-  for (NodeId want : expected) {
-    ASSERT_FALSE(frontier.Empty());
-    EXPECT_EQ(frontier.PopMin(), want);
-  }
-  EXPECT_TRUE(frontier.Empty());
-}
-
-TEST(DeltaSteppingFrontierTest, DecreaseReordersPopRejectedAndClamps) {
-  DeltaSteppingFrontier frontier;
-  frontier.Reset(8, 1.0, 2.0, 0.25);
-  frontier.PushOrDecrease(0, 1.8);
-  frontier.PushOrDecrease(1, 1.2);
-  EXPECT_FALSE(frontier.PushOrDecrease(0, 1.9));  // increase: no-op
-  EXPECT_TRUE(frontier.PushOrDecrease(0, 1.1));   // decrease: now ahead of 1
-  frontier.PushOrDecrease(2, 0.25);  // below lo: clamped bucket, exact scan
-  frontier.PushOrDecrease(3, 5.0);   // above hi
-  EXPECT_EQ(frontier.PopMin(), 2u);
-  EXPECT_EQ(frontier.PopMin(), 0u);
-  // A popped node cannot re-enter until the next Reset.
-  EXPECT_FALSE(frontier.PushOrDecrease(0, 0.1));
-  EXPECT_EQ(frontier.PopMin(), 1u);
-  EXPECT_EQ(frontier.PopMin(), 3u);
-  EXPECT_TRUE(frontier.Empty());
-  frontier.Reset(8, 1.0, 2.0, 0.25);
-  EXPECT_TRUE(frontier.PushOrDecrease(0, 0.1));
-  EXPECT_EQ(frontier.PopMin(), 0u);
-}
-
-TEST(DeltaSteppingFrontierTest, DegenerateDeltaCollapsesToOneBucket) {
-  // Non-positive or non-finite widths must stay correct (single bucket ==
-  // a sorted-scan frontier), since CalibrateDelta can face lo == hi.
-  for (double delta : {0.0, -3.0,
-                       std::numeric_limits<double>::infinity()}) {
-    DeltaSteppingFrontier frontier;
-    frontier.Reset(8, 2.0, 2.0, delta);
-    EXPECT_EQ(frontier.num_buckets(), 1u);
-    frontier.PushOrDecrease(0, 3.0);
-    frontier.PushOrDecrease(1, 1.0);
-    frontier.PushOrDecrease(2, 2.0);
-    EXPECT_EQ(frontier.PopMin(), 1u);
-    EXPECT_EQ(frontier.PopMin(), 2u);
-    EXPECT_EQ(frontier.PopMin(), 0u);
-  }
-}
-
-TEST(DeltaSteppingFrontierTest, CalibrateDeltaKeepsBucketCountBounded) {
-  // ~1 expected settle per bucket within the [1, kMaxBuckets] clamp.
-  const double d = DeltaSteppingFrontier::CalibrateDelta(0.0, 100.0, 50);
-  EXPECT_GT(d, 0.0);
-  DeltaSteppingFrontier frontier;
-  frontier.Reset(64, 0.0, 100.0, d);
-  EXPECT_GE(frontier.num_buckets(), 32u);
-  EXPECT_LE(frontier.num_buckets(), 128u);
-  // Huge settle counts must clamp rather than explode the bucket array.
-  const double tiny = DeltaSteppingFrontier::CalibrateDelta(0.0, 1.0,
-                                                            1u << 30);
-  frontier.Reset(64, 0.0, 1.0, tiny);
-  EXPECT_LE(frontier.num_buckets(), size_t{1} << 14);
-}
-
-TEST(DeltaSteppingFrontierTest, RandomizedMatchesIndexedHeapPopSequence) {
-  // Same exact-pop-sequence property the bucket frontier guarantees: the
-  // delta-stepping buckets only bound how much one pop scans, never which
-  // node pops, so with distinct keys the pop order matches the heap's.
-  Rng rng(4321);
-  for (int round = 0; round < 20; ++round) {
-    const size_t n = 1 + rng.Uniform(300);
-    IndexedMinHeap heap;
-    DeltaSteppingFrontier frontier;
-    heap.Reset(n);
-    const double delta =
-        DeltaSteppingFrontier::CalibrateDelta(0.0, 1.0, 1 + rng.Uniform(n));
-    frontier.Reset(n, 0.0, 1.0, delta);
-    std::vector<double> best(n, -1.0);
-    for (int op = 0; op < 500; ++op) {
-      const NodeId v = static_cast<NodeId>(rng.Uniform(n));
-      const double key =
-          static_cast<double>(rng.Uniform(1 << 20)) / (1 << 20) +
-          static_cast<double>(v) * 0x1.0p-40;
-      const bool heap_changed = heap.PushOrDecrease(v, key);
-      const bool frontier_changed = frontier.PushOrDecrease(v, key);
-      EXPECT_EQ(heap_changed, frontier_changed);
-      if (heap_changed) best[v] = key;
-    }
-    EXPECT_EQ(heap.size(), frontier.size());
-    while (!heap.Empty()) {
-      ASSERT_FALSE(frontier.Empty());
-      const NodeId from_heap = heap.PopMin();
-      const NodeId from_frontier = frontier.PopMin();
-      EXPECT_EQ(from_heap, from_frontier);
-      EXPECT_DOUBLE_EQ(best[from_heap], best[from_frontier]);
-    }
-    EXPECT_TRUE(frontier.Empty());
-  }
-}
-
 TEST(EpochUnionFindTest, UnionsAndO1Reset) {
   EpochUnionFind uf;
   uf.Reset(10);

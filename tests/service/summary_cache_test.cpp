@@ -124,6 +124,9 @@ TEST(SummaryCacheTest, HitMissAndCounters) {
   EXPECT_EQ(hit->summary().terminals.size(), 4u);
   // Same fingerprint under another snapshot version is a different entry.
   EXPECT_EQ(cache.Lookup(Key(2, 7)), nullptr);
+  // Peek answers like Lookup but counts neither a hit nor a miss.
+  EXPECT_EQ(cache.Peek(Key(1, 7)), hit);
+  EXPECT_EQ(cache.Peek(Key(2, 7)), nullptr);
 
   const CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);
@@ -240,6 +243,7 @@ TEST(SummaryCacheTest, ChainOnlyPlaceholderIsALookupMissButAChainHit) {
   // A placeholder is not an answer: Lookup must miss so the service
   // computes the summary...
   EXPECT_EQ(cache.Lookup(Key(1, 7)), nullptr);
+  EXPECT_EQ(cache.Peek(Key(1, 7)), nullptr);
   // ...but the incremental assist serves the imported checkpoint.
   const auto chain = cache.LookupChain(Key(1, 7));
   ASSERT_NE(chain, nullptr);

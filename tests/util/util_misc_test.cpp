@@ -1,5 +1,5 @@
 /// Tests for the small utility pieces: stats accumulator, string helpers,
-/// table printer, env parsing, memory counters, timers, logging.
+/// table printer, env parsing, timers, logging.
 
 #include <cstdlib>
 #include <sstream>
@@ -8,7 +8,6 @@
 
 #include "util/env.h"
 #include "util/logging.h"
-#include "util/memory.h"
 #include "util/stats.h"
 #include "util/string_util.h"
 #include "util/table.h"
@@ -253,41 +252,6 @@ TEST(EnvTest, NonNegativeRejectsNegativeWithWarning) {
   setenv("XSUM_TEST_VAR", "3", 1);
   EXPECT_EQ(GetEnvNonNegativeInt("XSUM_TEST_VAR", 5), 3);
   unsetenv("XSUM_TEST_VAR");
-}
-
-// --- memory -------------------------------------------------------------------
-
-TEST(MemoryCounterTest, TracksCurrentAndPeak) {
-  MemoryCounter counter;
-  counter.Add(100);
-  counter.Add(50);
-  EXPECT_EQ(counter.current_bytes(), 150);
-  EXPECT_EQ(counter.peak_bytes(), 150);
-  counter.Sub(120);
-  EXPECT_EQ(counter.current_bytes(), 30);
-  EXPECT_EQ(counter.peak_bytes(), 150);
-  counter.Add(10);
-  EXPECT_EQ(counter.peak_bytes(), 150);
-}
-
-TEST(MemoryCounterTest, SubClampsAtZero) {
-  MemoryCounter counter;
-  counter.Add(10);
-  counter.Sub(100);
-  EXPECT_EQ(counter.current_bytes(), 0);
-}
-
-TEST(MemoryCounterTest, ResetClearsBoth) {
-  MemoryCounter counter;
-  counter.Add(10);
-  counter.Reset();
-  EXPECT_EQ(counter.current_bytes(), 0);
-  EXPECT_EQ(counter.peak_bytes(), 0);
-}
-
-TEST(RssTest, ReportsPositiveOnLinux) {
-  EXPECT_GT(CurrentRssBytes(), 0);
-  EXPECT_GE(PeakRssBytes(), CurrentRssBytes() / 2);
 }
 
 // --- timer ---------------------------------------------------------------------
