@@ -16,15 +16,8 @@
 ///    `SearchWorkspace` and a prebuilt shared `graph::CostView` (the
 ///    steady state of `core::BatchSummarizer` / the summary service).
 /// Comparing SeedRef vs CostView rows reports the old-vs-new throughput of
-/// repeated queries.
-///
-/// The cross-request batching rows benchmark the KMB wave (DESIGN.md §8):
-/// `SteinerKmbSequentialBatch` vs `SteinerKmbWave` run B KMB tasks drawing
-/// terminals from a shared hot pool sequentially vs as one
-/// `SteinerTreeWave` (one search per distinct source). After the
-/// google-benchmark rows, main() prints a direct wall-clock wave-speedup
-/// gate (target >= 1.5x for B >= 8). The SeedRef/CostView/wave rows emit
-/// `XSUM_JSON` perf records for cross-commit trend tracking.
+/// repeated queries. The SeedRef/CostView rows emit `XSUM_JSON` perf
+/// records for cross-commit trend tracking.
 
 #include <benchmark/benchmark.h>
 
@@ -473,62 +466,6 @@ void BM_SteinerKmbCostView(benchmark::State& state) {
 }
 BENCHMARK(BM_SteinerKmbCostView)->Arg(11)->Arg(51);
 
-/// B KMB tasks over a small shared terminal pool — the shape a Zipf
-/// request mix hands the service's micro-batching window (hot users/items
-/// recur across concurrent tasks). The wave pair below prices exactly the
-/// cross-request sharing: the sequential arm searches every task's
-/// terminals from scratch, the wave arm searches each distinct source once
-/// across the batch (target-set union).
-std::vector<std::vector<graph::NodeId>> WaveTerminalSets(size_t b) {
-  const auto& rg = FixtureGraph();
-  const auto pool = PickTerminals(rg, 12, 23);
-  Rng rng(31);
-  std::vector<std::vector<graph::NodeId>> sets(b);
-  for (auto& set : sets) {
-    while (set.size() < 6) {
-      const graph::NodeId v = pool[rng.Uniform(pool.size())];
-      if (std::find(set.begin(), set.end(), v) == set.end()) {
-        set.push_back(v);
-      }
-    }
-  }
-  return sets;
-}
-
-void BM_SteinerKmbSequentialBatch(benchmark::State& state) {
-  const graph::CostView& view = FixtureCostView();
-  const auto sets = WaveTerminalSets(static_cast<size_t>(state.range(0)));
-  core::SteinerOptions options;
-  graph::SearchWorkspace ws;
-  WallTimer timer;
-  timer.Start();
-  for (auto _ : state) {
-    for (const auto& terminals : sets) {
-      auto result = core::SteinerTree(view, terminals, options, &ws);
-      benchmark::DoNotOptimize(result);
-    }
-  }
-  EmitMicroPerf(state, "SteinerKmbSequentialBatch", sets.size(),
-                timer.ElapsedMillis());
-}
-BENCHMARK(BM_SteinerKmbSequentialBatch)
-    ->Arg(1)->Arg(8)->Arg(16)->ArgName("B");
-
-void BM_SteinerKmbWave(benchmark::State& state) {
-  const graph::CostView& view = FixtureCostView();
-  const auto sets = WaveTerminalSets(static_cast<size_t>(state.range(0)));
-  core::SteinerOptions options;
-  graph::SearchWorkspace ws;
-  WallTimer timer;
-  timer.Start();
-  for (auto _ : state) {
-    auto results = core::SteinerTreeWave(view, sets, options, &ws);
-    benchmark::DoNotOptimize(results);
-  }
-  EmitMicroPerf(state, "SteinerKmbWave", sets.size(), timer.ElapsedMillis());
-}
-BENCHMARK(BM_SteinerKmbWave)->Arg(1)->Arg(8)->Arg(16)->ArgName("B");
-
 void BM_SteinerMehlhorn(benchmark::State& state) {
   const auto& rg = FixtureGraph();
   const auto costs = core::WeightsToCosts(rg.base_weights());
@@ -780,56 +717,6 @@ void BM_WeightAdjust(benchmark::State& state) {
 }
 BENCHMARK(BM_WeightAdjust);
 
-/// Direct wave-vs-sequential throughput gate, printed after the benchmark
-/// table: B batched KMB tasks through one `SteinerTreeWave` call against
-/// the same tasks run back-to-back through `SteinerTree`. Independent of
-/// google-benchmark's calibration so the ratio is a single apples-to-apples
-/// wall-clock measurement (target: >= 1.5x for B >= 8).
-void ReportWaveGate() {
-  const graph::CostView& view = FixtureCostView();
-  core::SteinerOptions options;
-  graph::SearchWorkspace ws;
-  std::printf("\ncross-request wave speedup (shared-pool KMB batch, "
-              "target >= 1.5x for B >= 8):\n");
-  for (const size_t b : {size_t{8}, size_t{16}}) {
-    const auto sets = WaveTerminalSets(b);
-    constexpr int kReps = 12;
-    // Warm both paths once so neither pays first-touch page faults.
-    for (const auto& terminals : sets) {
-      benchmark::DoNotOptimize(
-          core::SteinerTree(view, terminals, options, &ws));
-    }
-    benchmark::DoNotOptimize(
-        core::SteinerTreeWave(view, sets, options, &ws));
-    WallTimer timer;
-    timer.Start();
-    for (int rep = 0; rep < kReps; ++rep) {
-      for (const auto& terminals : sets) {
-        benchmark::DoNotOptimize(
-            core::SteinerTree(view, terminals, options, &ws));
-      }
-    }
-    const double sequential_ms = timer.ElapsedMillis();
-    timer.Start();
-    for (int rep = 0; rep < kReps; ++rep) {
-      benchmark::DoNotOptimize(
-          core::SteinerTreeWave(view, sets, options, &ws));
-    }
-    const double wave_ms = timer.ElapsedMillis();
-    const double speedup = wave_ms > 0.0 ? sequential_ms / wave_ms : 0.0;
-    std::printf("  B=%-2zu  sequential %8.2f ms  wave %8.2f ms  "
-                "speedup %.2fx\n",
-                b, sequential_ms, wave_ms, speedup);
-  }
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  ReportWaveGate();
-  return 0;
-}
+BENCHMARK_MAIN();

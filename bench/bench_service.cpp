@@ -13,26 +13,14 @@
 /// (`ServiceOptions::enable_metrics = false`) — the control that prices
 /// the observability layer on the hottest path (gate: <2% overhead).
 ///
-/// A final pair of arms replays a burst of *distinct* KMB requests from
-/// concurrent client threads — all cache misses — with the micro-batching
-/// window off and then on, and checks the batched responses bit-for-bit
-/// against fresh `Summarize` calls. This is the regression row for the
-/// cross-request wave kernel at the service layer.
-///
 /// Env knobs (on top of the standard XSUM_* set):
 ///   XSUM_REQUESTS         requests per arm                    (default 2000)
 ///   XSUM_ZIPF             task-mix skew s                     (default 1.1)
-///   XSUM_CLIENTS          threads in the concurrent-miss arms (default 6)
-///   XSUM_BATCH_WINDOW_US  batched arm's window                (default 1000)
-///   XSUM_BATCH_MAX        batched arm's wave-size cap         (default 8)
 ///
 /// XSUM_JSON emits one record per arm; `bench/compare_perf.py` diffs these
 /// across commits.
 
-#include <algorithm>
-#include <atomic>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "bench_common.h"
@@ -234,89 +222,6 @@ int main() {
   bench::EmitPerfJson({"service.zipf", "ST+PCST.cached_warm_nometrics", n,
                        mean_t,
                        nometrics_warm_ms / static_cast<double>(stream.size()),
-                       0});
-
-  // Arm 5/6: concurrent cold-miss burst — the micro-batching window's
-  // target shape. Client threads race *distinct* KMB requests at a cold
-  // cache (every one a miss, nothing to coalesce key-wise); λ = 0 keeps
-  // the Eq. (1) overlay a no-op so the misses are wave-eligible. The pair
-  // replays the identical stream with the window off, then on
-  // (XSUM_BATCH_WINDOW_US / XSUM_BATCH_MAX), and compares wall clock and
-  // the service-recorded p99.
-  core::SummarizerOptions kmb_eligible;
-  kmb_eligible.method = core::SummaryMethod::kSteiner;
-  kmb_eligible.lambda = 0.0;
-  const size_t clients = static_cast<size_t>(
-      std::max<int64_t>(2, GetEnvNonNegativeInt("XSUM_CLIENTS", 6)));
-  const auto concurrent_replay = [&](service::SummaryService& service) {
-    std::atomic<size_t> next{0};
-    WallTimer timer;
-    timer.Start();
-    std::vector<std::thread> threads;
-    threads.reserve(clients);
-    for (size_t c = 0; c < clients; ++c) {
-      threads.emplace_back([&] {
-        for (;;) {
-          const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-          if (i >= tasks.size()) return;
-          const auto result = service.Summarize(tasks[i], kmb_eligible);
-          bench::CheckOk(result.status(), "concurrent miss request");
-        }
-      });
-    }
-    for (std::thread& t : threads) t.join();
-    return timer.ElapsedMillis();
-  };
-
-  service::SummaryService miss_unbatched(&registry,
-                                         service::ServiceOptions());
-  const double miss_unbatched_ms = concurrent_replay(miss_unbatched);
-  const service::ServiceStats unbatched_stats = miss_unbatched.Stats();
-
-  service::ServiceOptions window_options;
-  window_options.batch_window_us =
-      GetEnvNonNegativeInt("XSUM_BATCH_WINDOW_US", 1000);
-  window_options.batch_max = static_cast<size_t>(
-      std::max<int64_t>(2, GetEnvNonNegativeInt("XSUM_BATCH_MAX", 8)));
-  service::SummaryService miss_batched(&registry, window_options);
-  const double miss_batched_ms = concurrent_replay(miss_batched);
-  const service::ServiceStats batched_stats = miss_batched.Stats();
-
-  std::printf(
-      "\nconcurrent-miss burst (%zu clients, %zu distinct KMB requests):\n"
-      "  window off: %8.1f ms  p50 %7.3f ms  p99 %7.3f ms\n"
-      "  window on:  %8.1f ms  p50 %7.3f ms  p99 %7.3f ms "
-      "(%llu waves, %llu wave requests)\n",
-      clients, tasks.size(), miss_unbatched_ms, unbatched_stats.p50_ms,
-      unbatched_stats.p99_ms, miss_batched_ms, batched_stats.p50_ms,
-      batched_stats.p99_ms,
-      static_cast<unsigned long long>(batched_stats.batch_waves),
-      static_cast<unsigned long long>(batched_stats.batch_requests));
-
-  // Safety: the batched service's responses (served from its now-warm
-  // cache) stay bit-identical to fresh computation — including the
-  // memory_bytes accounting the wave layer mirrors.
-  size_t wave_checked = 0;
-  for (size_t i = 0; i < tasks.size() && wave_checked < 50; i += 11) {
-    const auto hit = miss_batched.Summarize(tasks[i], kmb_eligible);
-    bench::CheckOk(hit.status(), "batched verify request");
-    const auto fresh =
-        core::Summarize(runner.rec_graph(), tasks[i], kmb_eligible);
-    bench::CheckOk(fresh.status(), "batched verify fresh");
-    CheckIdentical(*fresh, (*hit)->summary());
-    ++wave_checked;
-  }
-  std::printf("%zu batched responses verified bit-identical to fresh "
-              "Summarize\n",
-              wave_checked);
-
-  bench::EmitPerfJson({"service.batch", "KMB.concurrent_miss.unbatched", n,
-                       mean_t,
-                       miss_unbatched_ms / static_cast<double>(tasks.size()),
-                       0});
-  bench::EmitPerfJson({"service.batch", "KMB.concurrent_miss.batched", n,
-                       mean_t,
-                       miss_batched_ms / static_cast<double>(tasks.size()),
                        0});
   return 0;
 }

@@ -156,9 +156,6 @@ std::unique_ptr<ServingStack> BuildStack(size_t service_workers) {
   options.enable_cache = GetEnvNonNegativeInt("XSUM_CACHE", 1) != 0;
   options.cache.max_bytes =
       static_cast<size_t>(GetEnvNonNegativeInt("XSUM_CACHE_MB", 64)) << 20;
-  options.batch_window_us = GetEnvNonNegativeInt("XSUM_BATCH_WINDOW_US", 0);
-  options.batch_max = static_cast<size_t>(
-      std::max<int64_t>(2, GetEnvNonNegativeInt("XSUM_BATCH_MAX", 8)));
   stack->service =
       std::make_unique<service::SummaryService>(&stack->registry, options);
   stack->handler = std::make_unique<service::SummaryHandler>(

@@ -291,81 +291,6 @@ std::vector<Result<Summary>> BatchSummarizer::RunAll(
   return results;
 }
 
-std::vector<Result<Summary>> BatchSummarizer::RunWaveWith(
-    size_t worker, const std::vector<const SummaryTask*>& tasks,
-    const SummarizerOptions& options) {
-  assert(worker < contexts_.size());
-  SummarizeContext& ctx = *contexts_[worker];
-  std::vector<Result<Summary>> results(
-      tasks.size(), Result<Summary>(Status::Internal("wave task not run")));
-  const graph::KnowledgeGraph& g = rec_graph_.graph();
-  const bool wave_method =
-      options.method == SummaryMethod::kSteiner &&
-      options.steiner.variant == SteinerOptions::Variant::kKmb;
-
-  WallTimer timer;
-  timer.Start();
-
-  // Partition: wave-eligible tasks are KMB Steiner whose cost view is
-  // the shared base view — kUnit always, other modes when the Eq. (1)
-  // overlay moved no edge value (a rebuilt view would be bitwise equal to
-  // the shared one, so substituting it cannot change any summary byte).
-  // Everything else runs the plain per-task path inside this call.
-  std::vector<size_t> eligible;
-  std::vector<std::vector<graph::NodeId>> terminal_sets;
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    const SummaryTask& task = *tasks[i];
-    bool shared_costs = false;
-    if (wave_method) {
-      if (options.cost_mode == CostMode::kUnit) {
-        shared_costs = true;
-      } else {
-        AdjustWeightsInto(g, rec_graph_.base_weights(), task.paths,
-                          options.lambda, task.s_size, &ctx.edge_counts,
-                          &ctx.touched_edges, &ctx.adjusted_weights);
-        shared_costs =
-            SteinerCostSignature(rec_graph_, options.cost_mode, ctx).kind !=
-            CostSignature::Kind::kOverlay;
-      }
-    }
-    if (!shared_costs) {
-      results[i] = SummarizeWith(rec_graph_, task, options, ctx, views_.get());
-      continue;
-    }
-    eligible.push_back(i);
-    terminal_sets.push_back(task.terminals);
-  }
-  if (eligible.empty()) return results;
-
-  const graph::CostView& costs = views_->ForMode(options.cost_mode);
-  std::vector<Result<SteinerResult>> wave =
-      SteinerTreeWave(costs, terminal_sets, options.steiner, &ctx.workspace);
-  for (size_t m = 0; m < eligible.size(); ++m) {
-    const size_t i = eligible[m];
-    const SummaryTask& task = *tasks[i];
-    if (!wave[m].ok()) {
-      results[i] = wave[m].status();
-      continue;
-    }
-    SteinerResult st = std::move(*wave[m]);
-    Summary summary;
-    summary.method = options.method;
-    summary.scenario = task.scenario;
-    summary.input_paths = task.paths;
-    summary.anchors = task.anchors;
-    summary.terminals = task.terminals;
-    summary.subgraph = std::move(st.tree);
-    summary.unreached_terminals = std::move(st.unreached_terminals);
-    // Same working-set terms as the per-task ST path.
-    FinalizeSummaryPerf(timer,
-                        st.workspace_bytes + g.num_edges() * sizeof(double) +
-                            graph::CostView::RequiredBytes(g),
-                        &summary);
-    results[i] = std::move(summary);
-  }
-  return results;
-}
-
 Result<Summary> BatchSummarizer::RunChainedWith(size_t worker,
                                                 const SummaryTask& task,
                                                 const SummarizerOptions& options,

@@ -125,20 +125,6 @@ class BatchSummarizer {
   std::vector<Result<Summary>> RunAll(const std::vector<SummaryTask>& tasks,
                                       const SummarizerOptions& options);
 
-  /// Runs a set of tasks sharing one `options` as a *wave* on \p worker's
-  /// context: wave-eligible tasks (KMB Steiner whose Eq. (1) overlay is a
-  /// no-op, so all resolve to the shared base view) go through
-  /// `SteinerTreeWave` — one closure search per distinct source across
-  /// tasks — and the rest fall back to the per-task path inside the same
-  /// call. `result[i]` corresponds to `tasks[i]` and is bit-identical to
-  /// `RunWith(worker, *tasks[i], options)` (summary bytes and memory
-  /// accounting; `elapsed_ms` reports wave wall time, which is shared by
-  /// construction). The service's micro-batching window and the wave
-  /// benches drive this entry.
-  std::vector<Result<Summary>> RunWaveWith(
-      size_t worker, const std::vector<const SummaryTask*>& tasks,
-      const SummarizerOptions& options);
-
   /// Runs one *chained* task on \p worker's context: like `RunWith`
   /// (bit-identical summary), but reusing the closure state of \p prev
   /// when provably safe and recording into \p next (incremental.h;

@@ -152,61 +152,6 @@ void KmbFinish(const CostView& costs, const std::vector<NodeId>& terminals,
       result->tree.MemoryFootprintBytes();
 }
 
-/// Arena spans [begin, end) of the stored i→j expansion paths, one per
-/// pair (i, j>i) in row-major upper-triangle order (`PairIndex`).
-using PairSpans = std::vector<std::pair<uint32_t, uint32_t>>;
-
-/// Dense index of the pair (i, j), j > i, of \p t terminals in row-major
-/// upper-triangle order.
-size_t PairIndex(size_t t, size_t i, size_t j) {
-  return i * t - i * (i + 1) / 2 + (j - i - 1);
-}
-
-/// Reads closure row i out of the workspace-resident search from
-/// `terminals[i]`: the distance to every terminal j > i (mirrored into the
-/// lower triangle of \p closure) and, for the reached ones, the i→j path
-/// appended to \p arena with its span in \p spans. A node on the i→j path
-/// settles before j does, so the stored path is exactly what a fresh
-/// phase-3 search from terminal i would reconstruct.
-void ReadClosureRow(const SearchWorkspace& ws,
-                    const std::vector<NodeId>& terminals, size_t i,
-                    std::vector<double>& closure, std::vector<EdgeId>& arena,
-                    PairSpans& spans) {
-  const size_t t = terminals.size();
-  for (size_t j = i + 1; j < t; ++j) {
-    const double d = ws.dist(terminals[j]);
-    closure[i * t + j] = d;
-    closure[j * t + i] = d;
-    if (d < graph::kInfDistance) {
-      const uint32_t begin = static_cast<uint32_t>(arena.size());
-      AppendPathEdges(ws, terminals[j], &arena);
-      spans[PairIndex(t, i, j)] = {begin,
-                                   static_cast<uint32_t>(arena.size())};
-    }
-  }
-}
-
-/// Phases 2-3 over a phase-1 closure whose paths live in one arena — the
-/// tail of `SteinerKmb` and of every wave task, so both charge the same
-/// `workspace_bytes` terms.
-void KmbFinishFromArena(const CostView& costs,
-                        const std::vector<NodeId>& terminals,
-                        const SteinerOptions& options, SearchWorkspace& ws,
-                        const std::vector<double>& closure,
-                        const std::vector<EdgeId>& arena,
-                        const PairSpans& spans, SteinerResult* result) {
-  result->workspace_bytes += closure.size() * sizeof(double);
-  result->workspace_bytes +=
-      arena.size() * sizeof(EdgeId) + spans.size() * sizeof(spans[0]);
-  const size_t t = terminals.size();
-  KmbFinish(costs, terminals, options, ws, closure,
-            [&](size_t i, size_t j) {
-              const auto [begin, end] = spans[PairIndex(t, i, j)];
-              return std::pair(arena.data() + begin, arena.data() + end);
-            },
-            result);
-}
-
 Result<SteinerResult> SteinerKmb(const CostView& costs,
                                  const std::vector<NodeId>& terminals,
                                  const SteinerOptions& options,
@@ -228,19 +173,46 @@ Result<SteinerResult> SteinerKmb(const CostView& costs,
   // the i→j paths are extracted into an edge arena (O(Σ path length), tiny
   // next to the searches). Phase 3 then expands the closure MST by
   // concatenating stored paths instead of re-running one Dijkstra per MST
-  // source — the seed effectively paid for every search twice.
+  // source — the seed effectively paid for every search twice. A node on
+  // the i→j path settles before j does, so the stored path is exactly what
+  // a fresh phase-3 search from terminal i would reconstruct.
   std::vector<double>& closure = ws.value_scratch();
   closure.assign(t * t, graph::kInfDistance);
   std::vector<EdgeId>& path_arena = ws.edge_scratch();
   path_arena.clear();
-  PairSpans pair_span(t * (t - 1) / 2, {0, 0});
+  // Arena span of the (i, j>i) path: pair_span[pair_index(i, j)].
+  auto pair_index = [t](size_t i, size_t j) {
+    // Dense index of (i, j), j > i, in row-major upper-triangle order.
+    return i * t - i * (i + 1) / 2 + (j - i - 1);
+  };
+  std::vector<std::pair<uint32_t, uint32_t>> pair_span(t * (t - 1) / 2,
+                                                       {0, 0});
   for (size_t i = 0; i + 1 < t; ++i) {
     DijkstraInto(costs, terminals[i],
                  std::span<const NodeId>(terminals).subspan(i + 1), ws);
-    ReadClosureRow(ws, terminals, i, closure, path_arena, pair_span);
+    for (size_t j = i + 1; j < t; ++j) {
+      const double d = ws.dist(terminals[j]);
+      closure[i * t + j] = d;
+      closure[j * t + i] = d;
+      if (d < graph::kInfDistance) {
+        const uint32_t begin = static_cast<uint32_t>(path_arena.size());
+        AppendPathEdges(ws, terminals[j], &path_arena);
+        pair_span[pair_index(i, j)] = {
+            begin, static_cast<uint32_t>(path_arena.size())};
+      }
+    }
   }
-  KmbFinishFromArena(costs, terminals, options, ws, closure, path_arena,
-                     pair_span, &result);
+  result.workspace_bytes += closure.size() * sizeof(double);
+  result.workspace_bytes += path_arena.size() * sizeof(EdgeId) +
+                            pair_span.size() * sizeof(pair_span[0]);
+
+  KmbFinish(costs, terminals, options, ws, closure,
+            [&](size_t i, size_t j) {
+              const auto [begin, end] = pair_span[pair_index(i, j)];
+              return std::pair(path_arena.data() + begin,
+                               path_arena.data() + end);
+            },
+            &result);
   return result;
 }
 
@@ -516,85 +488,6 @@ std::optional<Result<SteinerResult>> SteinerPrologue(
 }
 
 }  // namespace
-
-std::vector<Result<SteinerResult>> SteinerTreeWave(
-    const CostView& costs,
-    const std::vector<std::vector<NodeId>>& terminal_sets,
-    const SteinerOptions& options, graph::SearchWorkspace* workspace) {
-  std::vector<Result<SteinerResult>> results(
-      terminal_sets.size(),
-      Result<SteinerResult>(Status::Internal("wave task not run")));
-  SearchWorkspace local_ws;
-  SearchWorkspace& ws = workspace != nullptr ? *workspace : local_ws;
-
-  // Prologue per task; tasks answered early (errors, ≤1 terminal) never
-  // enter the wave. Mehlhorn tasks run plain — nothing to share.
-  std::vector<std::vector<NodeId>> uniques(terminal_sets.size());
-  std::vector<size_t> pending;
-  for (size_t i = 0; i < terminal_sets.size(); ++i) {
-    if (options.variant == SteinerOptions::Variant::kMehlhorn) {
-      results[i] = SteinerTree(costs, terminal_sets[i], options, &ws);
-      continue;
-    }
-    if (auto early = SteinerPrologue(costs, terminal_sets[i], &uniques[i])) {
-      results[i] = *std::move(early);
-      continue;
-    }
-    pending.push_back(i);
-  }
-
-  // Dedup: one search per distinct row source, to the union of the targets
-  // its rows ask for (duplicates are harmless: `DijkstraInto` counts each
-  // target once), serving every (task, row) that starts at that source.
-  struct SourceSearch {
-    NodeId source;
-    std::vector<NodeId> targets;
-    std::vector<std::pair<size_t, size_t>> rows;  // (task, row index)
-  };
-  std::vector<SourceSearch> searches;
-  std::unordered_map<NodeId, size_t> search_of;
-  for (const size_t task : pending) {
-    const std::vector<NodeId>& terminals = uniques[task];
-    for (size_t i = 0; i + 1 < terminals.size(); ++i) {
-      const auto [it, inserted] =
-          search_of.try_emplace(terminals[i], searches.size());
-      if (inserted) searches.push_back({terminals[i], {}, {}});
-      SourceSearch& search = searches[it->second];
-      search.targets.insert(search.targets.end(), terminals.begin() + i + 1,
-                            terminals.end());
-      search.rows.emplace_back(task, i);
-    }
-  }
-
-  // Phase 1 of every task, read out of each search while it is resident.
-  struct Phase1 {
-    std::vector<double> closure;
-    std::vector<EdgeId> path_arena;
-    PairSpans pair_span;
-  };
-  std::vector<Phase1> phase1(terminal_sets.size());
-  for (const size_t task : pending) {
-    const size_t t = uniques[task].size();
-    phase1[task].closure.assign(t * t, graph::kInfDistance);
-    phase1[task].pair_span.assign(t * (t - 1) / 2, {0, 0});
-  }
-  for (const SourceSearch& search : searches) {
-    DijkstraInto(costs, search.source, search.targets, ws);
-    for (const auto& [task, i] : search.rows) {
-      Phase1& p = phase1[task];
-      ReadClosureRow(ws, uniques[task], i, p.closure, p.path_arena,
-                     p.pair_span);
-    }
-  }
-  for (const size_t task : pending) {
-    SteinerResult result;
-    const Phase1& p = phase1[task];
-    KmbFinishFromArena(costs, uniques[task], options, ws, p.closure,
-                       p.path_arena, p.pair_span, &result);
-    results[task] = std::move(result);
-  }
-  return results;
-}
 
 Result<SteinerResult> SteinerTree(const CostView& costs,
                                   const std::vector<NodeId>& terminals,

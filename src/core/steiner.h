@@ -144,30 +144,6 @@ Result<SteinerResult> SteinerTreeChained(
     const std::vector<graph::NodeId>& terminals, const SteinerOptions& options,
     graph::SearchWorkspace* workspace, KmbClosureStore* store);
 
-/// \brief Wave construction: answers many KMB queries over *one* cost view
-/// with their closure searches deduplicated across tasks (DESIGN.md §8).
-///
-/// Every distinct row source of the wave is searched once, by one
-/// `DijkstraInto` whose target set is the union of what the tasks ask of
-/// that source; each task's closure rows and expansion paths are read out
-/// of the workspace right after that search. The union search early-exits
-/// later than each task's own row would, and settled-node facts do not
-/// depend on how long a search runs (the settled-prefix argument of
-/// DESIGN.md §5), so every row a task reads equals its own. On
-/// Zipf-skewed traffic, where hot users/items recur across concurrent
-/// tasks, the dedup removes whole searches.
-///
-/// `result[i]` is **bit-identical** to
-/// `SteinerTree(costs, terminal_sets[i], options, workspace)` — tree,
-/// unreached terminals, and `workspace_bytes` (the accounting mirrors the
-/// from-scratch terms) — including the degenerate single-task wave. A
-/// `kMehlhorn` \p options runs each task through the plain construction
-/// (its one multi-source sweep has nothing to share).
-std::vector<Result<SteinerResult>> SteinerTreeWave(
-    const graph::CostView& costs,
-    const std::vector<std::vector<graph::NodeId>>& terminal_sets,
-    const SteinerOptions& options, graph::SearchWorkspace* workspace);
-
 }  // namespace xsum::core
 
 #endif  // XSUM_CORE_STEINER_H_

@@ -1,6 +1,5 @@
 #include "service/service.h"
 
-#include <chrono>
 #include <utility>
 
 #include "core/incremental.h"
@@ -14,7 +13,6 @@ SummaryService::SummaryService(GraphSnapshotRegistry* registry,
   latency_hist_ = metrics_.GetHistogram("service_latency_ms");
   compute_hist_ = metrics_.GetHistogram("service_compute_ms");
   slot_wait_hist_ = metrics_.GetHistogram("service_slot_wait_ms");
-  batch_occupancy_hist_ = metrics_.GetHistogram("service_batch_occupancy");
   uptime_.Start();
 }
 
@@ -122,71 +120,6 @@ Result<std::shared_ptr<const SummaryRecord>> SummaryService::ComputeOn(
     *out_chain = std::move(next_chain);
   }
   return std::make_shared<const SummaryRecord>(std::move(*result));
-}
-
-Result<std::shared_ptr<const SummaryRecord>> SummaryService::ComputeWaveOn(
-    ServingState& state, const core::SummaryTask& task,
-    std::vector<BatchGroup::Member> members,
-    const core::SummarizerOptions& options, obs::Trace* trace) {
-  size_t worker = 0;
-  {
-    obs::SpanTimer slot_span(trace, "slot.wait");
-    WallTimer slot_timer;
-    slot_timer.Start();
-    sync::MutexLock lock(state.mutex);
-    while (state.free_workers.empty()) lock.Wait(state.slot_cv);
-    worker = state.free_workers.back();
-    state.free_workers.pop_back();
-    if (options_.enable_metrics) {
-      slot_wait_hist_->RecordMs(slot_timer.ElapsedMillis());
-    }
-  }
-  // Leader first; the wave answers result[i] for tasks[i], so the order
-  // only fixes which slot each request takes — every result is
-  // bit-identical to its own solo compute regardless.
-  std::vector<const core::SummaryTask*> tasks;
-  tasks.reserve(members.size() + 1);
-  tasks.push_back(&task);
-  for (const BatchGroup::Member& m : members) tasks.push_back(m.task);
-  WallTimer compute_timer;
-  compute_timer.Start();
-  const double compute_start_ms = trace != nullptr ? trace->ElapsedMs() : 0.0;
-  std::vector<Result<core::Summary>> results =
-      state.engine->RunWaveWith(worker, tasks, options);
-  const double compute_ms = compute_timer.ElapsedMillis();
-  if (options_.enable_metrics) compute_hist_->RecordMs(compute_ms);
-  {
-    sync::MutexLock lock(state.mutex);
-    state.free_workers.push_back(worker);
-  }
-  state.slot_cv.notify_one();
-  if (trace != nullptr) {
-    trace->AddSpan("compute", compute_start_ms, compute_ms, "wave");
-  }
-  {
-    sync::MutexLock lock(stats_mutex_);
-    computed_ += tasks.size();
-    ++batch_waves_;
-    batch_requests_ += tasks.size();
-  }
-  // Publish every member's result exactly as its own leader path would
-  // have: cache insert (chain-free — waves record no checkpoints), flight
-  // completion, single-flight deregistration. Members wake from their
-  // `batch.wait` and record their own latency; their flight followers
-  // wake with them.
-  for (size_t i = 0; i < members.size(); ++i) {
-    BatchGroup::Member& m = members[i];
-    Result<core::Summary>& r = results[i + 1];
-    std::shared_ptr<const SummaryRecord> record;
-    if (r.ok()) {
-      record = std::make_shared<const SummaryRecord>(std::move(*r));
-      cache_.Insert(m.key, record, /*chain=*/nullptr, m.route_key);
-    }
-    CompleteFlight(m.key, *m.flight, r.status(), std::move(record));
-  }
-  Result<core::Summary>& own = results[0];
-  if (!own.ok()) return own.status();
-  return std::make_shared<const SummaryRecord>(std::move(*own));
 }
 
 Result<std::shared_ptr<const SummaryRecord>> SummaryService::Summarize(
@@ -298,110 +231,9 @@ Result<std::shared_ptr<const SummaryRecord>> SummaryService::Summarize(
     chain_span.set_note(prev_chain != nullptr ? "reusable" : "absent");
   }
 
-  // Micro-batching window (DESIGN.md §8): wave-eligible leaders — KMB
-  // Steiner misses with no usable chain predecessor — rendezvous with
-  // concurrent eligible misses on the same (snapshot, options) and are
-  // answered by one KMB wave. Off by default; responses are bit-identical
-  // either way, the window only trades a bounded wait for the closure
-  // searches concurrent miss bursts share.
   std::shared_ptr<core::SummaryChain> out_chain;
   Result<std::shared_ptr<const SummaryRecord>> result =
-      Status::Internal("SummaryService: compute not reached");
-  bool waved = false;
-  const bool wave_eligible =
-      options_.batch_window_us > 0 && options_.batch_max >= 2 &&
-      prev_chain == nullptr &&
-      options.method == core::SummaryMethod::kSteiner &&
-      options.steiner.variant == core::SteinerOptions::Variant::kKmb;
-  if (wave_eligible) {
-    // The group key is the fingerprint of an *empty* task under these
-    // options plus the snapshot version — exactly the equivalence class
-    // of requests whose kernel queries share one cost view.
-    CacheKey group_key;
-    group_key.snapshot_version = state->snapshot.version;
-    static const core::SummaryTask kEmptyTask{};
-    FingerprintTask(kEmptyTask, options, &group_key.fp_hi, &group_key.fp_lo);
-    std::shared_ptr<BatchGroup> group;
-    bool opener = false;
-    {
-      sync::MutexLock lock(batches_mutex_);
-      auto it = batches_.find(group_key);
-      if (it != batches_.end()) {
-        group = it->second;
-      } else {
-        group = std::make_shared<BatchGroup>();
-        batches_[group_key] = group;
-        opener = true;
-      }
-    }
-    if (!opener) {
-      bool joined = false;
-      bool filled = false;
-      {
-        sync::MutexLock lock(group->mutex);
-        if (!group->closed &&
-            group->members.size() + 2 <= options_.batch_max) {
-          group->members.push_back({&task, key, route_key, flight});
-          joined = true;
-          filled = group->members.size() + 1 >= options_.batch_max;
-        }
-      }
-      if (joined) {
-        if (filled) group->leader_cv.notify_one();
-        obs::SpanTimer wait_span(trace, "batch.wait");
-        wait_span.set_note("member");
-        Status status;
-        std::shared_ptr<const SummaryRecord> record;
-        {
-          sync::MutexLock lock(flight->mutex);
-          while (!flight->done) lock.Wait(flight->cv);
-          status = flight->status;
-          record = flight->record;
-        }
-        RecordLatency(timer.ElapsedMillis(), !status.ok());
-        if (!status.ok()) return status;
-        return record;
-      }
-      // The window closed between discovery and join — compute solo.
-    } else {
-      std::vector<BatchGroup::Member> members;
-      {
-        obs::SpanTimer window_span(trace, "batch.wait");
-        window_span.set_note("window");
-        sync::MutexLock lock(group->mutex);
-        const auto window_deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::microseconds(options_.batch_window_us);
-        while (group->members.size() + 1 < options_.batch_max) {
-          if (lock.WaitUntil(group->leader_cv, window_deadline) ==
-              std::cv_status::timeout) {
-            break;
-          }
-        }
-        group->closed = true;
-        members = std::move(group->members);
-      }
-      {
-        sync::MutexLock lock(batches_mutex_);
-        batches_.erase(group_key);
-      }
-      if (options_.enable_metrics) {
-        batch_occupancy_hist_->RecordMicros(
-            static_cast<uint64_t>(members.size()) + 1);
-      }
-      if (!members.empty()) {
-        result =
-            ComputeWaveOn(*state, task, std::move(members), options, trace);
-        waved = true;
-      }
-      // An empty window falls through to the plain compute, which
-      // additionally records a chain checkpoint for future k-sweeps.
-    }
-  }
-  if (!waved) {
-    result =
-        ComputeOn(*state, task, options, prev_chain.get(), &out_chain, trace);
-  }
+      ComputeOn(*state, task, options, prev_chain.get(), &out_chain, trace);
   if (result.ok()) {
     cache_.Insert(key, *result, std::move(out_chain), route_key);
   }
@@ -486,8 +318,6 @@ ServiceStats SummaryService::Stats() const {
   stats.coalesced = coalesced_;
   stats.errors = errors_;
   stats.chains_imported = chains_imported_;
-  stats.batch_waves = batch_waves_;
-  stats.batch_requests = batch_requests_;
   stats.uptime_seconds = uptime_.ElapsedSeconds();
   stats.qps = stats.uptime_seconds > 0.0
                   ? static_cast<double>(requests_) / stats.uptime_seconds
@@ -524,8 +354,6 @@ obs::MetricsSnapshot SummaryService::Metrics() const {
   snap.counters["service_errors"] = stats.errors;
   snap.counters["service_snapshot_swaps"] = stats.snapshot_swaps;
   snap.counters["service_chains_imported"] = stats.chains_imported;
-  snap.counters["service_batch_waves"] = stats.batch_waves;
-  snap.counters["service_batch_requests"] = stats.batch_requests;
   snap.counters["cache_hits"] = stats.cache.hits;
   snap.counters["cache_misses"] = stats.cache.misses;
   snap.counters["cache_insertions"] = stats.cache.insertions;

@@ -56,19 +56,6 @@ struct ServiceOptions {
   /// only, no percentile data; the metrics-off control arm of the
   /// service bench that prices the instrumentation).
   bool enable_metrics = true;
-  /// Micro-batching window in microseconds (0 = off, the default). When
-  /// set, a cache-miss leader whose request is wave-eligible (ST/KMB, no
-  /// usable chain predecessor) waits up to this long for concurrent
-  /// eligible misses on the same (snapshot, options) and answers the whole
-  /// group through one KMB wave (`core::BatchSummarizer::RunWaveWith`) on
-  /// a single worker slot. Responses are bit-identical to unbatched
-  /// computes; the window only trades a bounded latency wait for the
-  /// closure searches the group's requests share. Surfaced as
-  /// `XSUM_BATCH_WINDOW_US` by the serving binary and benches.
-  int64_t batch_window_us = 0;
-  /// Requests per wave at which the window closes early (leader included).
-  /// Surfaced as `XSUM_BATCH_MAX`.
-  size_t batch_max = 8;
   SummaryCache::Options cache;
 };
 
@@ -85,12 +72,6 @@ struct ServiceStats {
   uint64_t snapshot_version = 0;
   /// Chain checkpoints accepted from a draining peer (`ImportChain`).
   uint64_t chains_imported = 0;
-  /// KMB waves run by the micro-batching window (each occupies
-  /// one worker slot regardless of its member count).
-  uint64_t batch_waves = 0;
-  /// Requests answered through a wave (leaders + joined members; their
-  /// achieved occupancy distribution is `service_batch_occupancy`).
-  uint64_t batch_requests = 0;
   /// Requests currently inside `Summarize` (gauge, not a counter) — the
   /// drain sequence waits for this to reach zero before exporting.
   int64_t in_flight = 0;
@@ -121,10 +102,10 @@ class SummaryService {
 
   /// Answers one request: cache hit, coalesced wait, or fresh compute on
   /// the current graph snapshot. The returned record is the one the cache
-  /// holds for (snapshot version, task fingerprint) — every hit, coalesced
-  /// follower and wave member of that key shares it, evaluation slot
-  /// included. Its summary is immutable and stays valid independent of
-  /// cache eviction or snapshot swaps.
+  /// holds for (snapshot version, task fingerprint) — every hit and
+  /// coalesced follower of that key shares it, evaluation slot included.
+  /// Its summary is immutable and stays valid independent of cache
+  /// eviction or snapshot swaps.
   ///
   /// \p predecessor optionally names the chain-predecessor task (the same
   /// unit at k−1, built by the k-sweep callers). On a cache miss the
@@ -221,31 +202,6 @@ class SummaryService {
     std::shared_ptr<const SummaryRecord> record XSUM_GUARDED_BY(mutex);
   };
 
-  /// One open micro-batching window: the rendezvous where wave-eligible
-  /// single-flight leaders meet. The first leader to open the group waits
-  /// out the window (or until `batch_max` requests gathered) and computes
-  /// the whole group as one `RunWaveWith` wave; joiners park on their own
-  /// Flight exactly like single-flight followers. Keyed by
-  /// (snapshot version, options fingerprint) so only requests that would
-  /// produce view-compatible kernel queries ever share a wave.
-  struct BatchGroup {
-    /// A joined request: the leader publishes its result through the
-    /// regular flight/cache machinery on its behalf. The task pointer
-    /// stays valid because the joiner blocks until its flight is done.
-    struct Member {
-      const core::SummaryTask* task;
-      CacheKey key;
-      uint64_t route_key;
-      std::shared_ptr<Flight> flight;
-    };
-    sync::Mutex mutex;
-    std::condition_variable leader_cv;  ///< woken when the group fills
-    /// No more joins (window elapsed).
-    bool closed XSUM_GUARDED_BY(mutex) = false;
-    /// Joiners (group leader excluded).
-    std::vector<Member> members XSUM_GUARDED_BY(mutex);
-  };
-
   /// Returns the serving state for the registry's current version,
   /// building (and hot-swapping to) a new one when the version moved.
   std::shared_ptr<ServingState> CurrentState();
@@ -258,18 +214,6 @@ class SummaryService {
       const core::SummarizerOptions& options,
       const core::SummaryChain* prev_chain,
       std::shared_ptr<core::SummaryChain>* out_chain, obs::Trace* trace);
-
-  /// Wave leader path: runs the leader's \p task plus every joined
-  /// \p members request as one `RunWaveWith` wave on a single worker
-  /// slot, then inserts each member's record into the cache and
-  /// publishes its flight. Returns the leader's own result (cached and
-  /// published by the caller's common path); members are answered as a
-  /// side effect. Wave results carry no chain checkpoints (checkpoints
-  /// only accelerate later computes — responses are unaffected).
-  Result<std::shared_ptr<const SummaryRecord>> ComputeWaveOn(
-      ServingState& state, const core::SummaryTask& task,
-      std::vector<BatchGroup::Member> members,
-      const core::SummarizerOptions& options, obs::Trace* trace);
 
   /// Publishes \p status / \p record on \p flight, deregisters it from
   /// `flights_` under \p key, and wakes its followers.
@@ -286,28 +230,18 @@ class SummaryService {
   /// Lock order within the service (DESIGN.md §9.3): every acquisition
   /// is leaf-like — no service mutex is ever taken while holding another
   /// — but the declared order pins the permitted direction should a
-  /// future change need to nest: state → flights → batches → stats.
+  /// future change need to nest: state → flights → stats.
   mutable sync::Mutex state_mutex_
-      XSUM_ACQUIRED_BEFORE(flights_mutex_, batches_mutex_, stats_mutex_);
+      XSUM_ACQUIRED_BEFORE(flights_mutex_, stats_mutex_);
   /// Guards the *pointer*; a ServingState returned from CurrentState()
   /// is pinned by the shared_ptr copy and used lock-free (§9.4), its own
   /// slot free-list guarded by its member mutex.
   std::shared_ptr<ServingState> state_ XSUM_GUARDED_BY(state_mutex_);
   uint64_t snapshot_swaps_ XSUM_GUARDED_BY(state_mutex_) = 0;
 
-  sync::Mutex flights_mutex_
-      XSUM_ACQUIRED_BEFORE(batches_mutex_, stats_mutex_);
+  sync::Mutex flights_mutex_ XSUM_ACQUIRED_BEFORE(stats_mutex_);
   std::unordered_map<CacheKey, std::shared_ptr<Flight>, CacheKeyHash> flights_
       XSUM_GUARDED_BY(flights_mutex_);
-
-  /// Open micro-batching windows, keyed by (snapshot version, options
-  /// fingerprint) — the CacheKey of an *empty* task under the request's
-  /// options, which is exactly the equivalence class of requests whose
-  /// kernel queries share one cost view. Entries live only while their
-  /// window is open; the leader deregisters on close.
-  sync::Mutex batches_mutex_ XSUM_ACQUIRED_BEFORE(stats_mutex_);
-  std::unordered_map<CacheKey, std::shared_ptr<BatchGroup>, CacheKeyHash>
-      batches_ XSUM_GUARDED_BY(batches_mutex_);
 
   /// Live metrics. The latency histogram is the percentile source of
   /// truth (PR 7): log-bucketed, constant memory, and — unlike the
@@ -316,13 +250,6 @@ class SummaryService {
   obs::Histogram* latency_hist_;    // service_latency_ms
   obs::Histogram* compute_hist_;    // service_compute_ms
   obs::Histogram* slot_wait_hist_;  // service_slot_wait_ms
-  /// Achieved window occupancy (requests gathered per closed window,
-  /// recorded once per window; 1 = the window expired with no joiners and
-  /// fell back to a plain chain-recording compute). The log2 buckets are
-  /// unit-agnostic — occupancy counts land in the low integer buckets
-  /// exactly — so the shared histogram type merges across the fleet like
-  /// every other registry histogram.
-  obs::Histogram* batch_occupancy_hist_;  // service_batch_occupancy
 
   mutable sync::Mutex stats_mutex_;
   uint64_t requests_ XSUM_GUARDED_BY(stats_mutex_) = 0;
@@ -331,8 +258,6 @@ class SummaryService {
   uint64_t coalesced_ XSUM_GUARDED_BY(stats_mutex_) = 0;
   uint64_t errors_ XSUM_GUARDED_BY(stats_mutex_) = 0;
   uint64_t chains_imported_ XSUM_GUARDED_BY(stats_mutex_) = 0;
-  uint64_t batch_waves_ XSUM_GUARDED_BY(stats_mutex_) = 0;
-  uint64_t batch_requests_ XSUM_GUARDED_BY(stats_mutex_) = 0;
   /// Lock-free (§9.4): polled by the drain sequence while requests run;
   /// a single word with no cross-field invariant.
   std::atomic<int64_t> in_flight_{0};

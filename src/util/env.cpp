@@ -95,18 +95,11 @@ const std::vector<EnvVarInfo>& EnvVarCatalog() {
        "route panel/service summarization through the summary cache"},
       {"XSUM_CACHE_MB", "int", "64", ">= 0", "eval benches, xsum_server",
        "summary-cache byte budget in MiB"},
-      {"XSUM_BATCH_WINDOW_US", "int", "0 (off)", ">= 0",
-       "xsum_server, bench_service",
-       "service micro-batching window in microseconds: concurrent "
-       "cache-miss computes coalesce into one KMB wave"},
-      {"XSUM_BATCH_MAX", "int", "8", ">= 2",
-       "xsum_server, bench_service",
-       "requests per wave at which the micro-batching window closes early"},
       {"XSUM_REQUESTS", "int", "bench-specific (2000 bench_service, "
        "400 xsum_server, 300 bench_net)", ">= 0",
        "bench_service, bench_net, xsum_server",
        "total requests replayed per serving arm/phase"},
-      {"XSUM_CLIENTS", "int", "2", ">= 1", "bench_net, bench_service, xsum_server",
+      {"XSUM_CLIENTS", "int", "2", ">= 1", "bench_net, xsum_server",
        "concurrent client threads driving the request stream"},
       {"XSUM_ZIPF", "double", "1.1", ">= 0",
        "bench_service, bench_net, xsum_server",

@@ -207,81 +207,5 @@ TEST(BatchSummarizerTest, PropagatesErrorsPerTask) {
   EXPECT_TRUE(results[1].status().IsInvalidArgument());
 }
 
-TEST(BatchSummarizerTest, WaveIsBitIdenticalToPerTaskRunsOnMixedTasks) {
-  // RunWaveWith must return, slot for slot, exactly what RunWith returns:
-  // summary bytes AND memory accounting. The mix matters — pathless KMB
-  // tasks ride the multi-query kernel, tasks with explanation paths get a
-  // λ overlay (ineligible) and must take the per-task path inside the
-  // same wave call without disturbing their neighbours.
-  const Fixture f = MakeFixture(0.03, 25);
-  Rng rng(81);
-  SummarizerOptions options;
-  options.method = SummaryMethod::kSteiner;
-  options.steiner.variant = SteinerOptions::Variant::kKmb;
-  options.lambda = 1.0;
-
-  BatchSummarizer engine(f.rg, /*num_workers=*/2);
-  for (int round = 0; round < 3; ++round) {
-    std::vector<SummaryTask> tasks;
-    for (int i = 0; i < 8; ++i) {
-      // Even slots: kernel-eligible (no paths -> the Eq. (1) overlay is a
-      // no-op). Odd slots: overlay tasks, per-task fallback.
-      tasks.push_back(RandomTask(f.rg, 3 + i % 4, (i % 2) * 3, &rng));
-    }
-    std::vector<const SummaryTask*> ptrs;
-    for (const SummaryTask& t : tasks) ptrs.push_back(&t);
-
-    const auto wave = engine.RunWaveWith(0, ptrs, options);
-    ASSERT_EQ(wave.size(), tasks.size());
-    for (size_t i = 0; i < tasks.size(); ++i) {
-      const auto solo = engine.RunWith(1, tasks[i], options);
-      ASSERT_TRUE(solo.ok()) << solo.status();
-      ASSERT_TRUE(wave[i].ok()) << wave[i].status();
-      ExpectIdentical(*solo, *wave[i]);
-      EXPECT_EQ(wave[i]->terminals, solo->terminals);
-      EXPECT_EQ(wave[i]->anchors, solo->anchors);
-      EXPECT_EQ(wave[i]->memory_bytes, solo->memory_bytes) << "slot " << i;
-    }
-  }
-}
-
-TEST(BatchSummarizerTest, SingleTaskWaveMatchesRunWith) {
-  const Fixture f = MakeFixture(0.02, 26);
-  Rng rng(82);
-  SummarizerOptions options;
-  options.method = SummaryMethod::kSteiner;
-  options.steiner.variant = SteinerOptions::Variant::kKmb;
-  const SummaryTask task = RandomTask(f.rg, 5, 0, &rng);
-  BatchSummarizer engine(f.rg, 2);
-  const auto wave = engine.RunWaveWith(0, {&task}, options);
-  ASSERT_EQ(wave.size(), 1u);
-  const auto solo = engine.RunWith(1, task, options);
-  ASSERT_TRUE(wave[0].ok());
-  ASSERT_TRUE(solo.ok());
-  ExpectIdentical(*solo, *wave[0]);
-  EXPECT_EQ(wave[0]->memory_bytes, solo->memory_bytes);
-}
-
-TEST(BatchSummarizerTest, WavePropagatesBadTaskWithoutPoisoningOthers) {
-  const Fixture f = MakeFixture(0.02, 27);
-  Rng rng(83);
-  SummarizerOptions options;
-  options.method = SummaryMethod::kSteiner;
-  options.steiner.variant = SteinerOptions::Variant::kKmb;
-  SummaryTask bad;
-  bad.terminals = {static_cast<graph::NodeId>(f.rg.graph().num_nodes() + 7)};
-  const SummaryTask good_a = RandomTask(f.rg, 4, 0, &rng);
-  const SummaryTask good_b = RandomTask(f.rg, 3, 0, &rng);
-  BatchSummarizer engine(f.rg, 1);
-  const auto wave = engine.RunWaveWith(0, {&good_a, &bad, &good_b}, options);
-  ASSERT_EQ(wave.size(), 3u);
-  EXPECT_TRUE(wave[0].ok());
-  EXPECT_FALSE(wave[1].ok());
-  EXPECT_TRUE(wave[2].ok());
-  const auto solo = engine.RunWith(0, good_b, options);
-  ASSERT_TRUE(solo.ok());
-  ExpectIdentical(*solo, *wave[2]);
-}
-
 }  // namespace
 }  // namespace xsum::core

@@ -1,7 +1,9 @@
 /// Property tests of the summary service front end: cached responses must
 /// be bit-identical to fresh `Summarize` calls across methods and
 /// scenarios, concurrent identical requests must coalesce into one
-/// computation, and a snapshot swap must never serve a stale entry.
+/// computation, concurrent distinct misses on several worker slots must
+/// each match a fresh computation, and a snapshot swap must never serve a
+/// stale entry.
 
 #include "service/service.h"
 
@@ -219,6 +221,94 @@ TEST(SummaryServiceTest, SingleFlightCoalescesConcurrentIdenticalRequests) {
     ASSERT_NE(result, nullptr);
     ExpectIdentical(results[0]->summary(), result->summary());
   }
+}
+
+TEST(SummaryServiceTest, ConcurrentDistinctMissesMatchFresh) {
+  // Eight clients race KMB, Mehlhorn and PCST requests at λ = 0 and λ = 1
+  // through four worker slots. Every client walks every key, each from
+  // its own offset: the first requests are concurrent distinct misses on
+  // different slots, the later ones meet keys another client already
+  // computed (hits) or is computing (coalesced).
+  eval::ExperimentRunner runner(TinyConfig());
+  ASSERT_TRUE(runner.Init().ok());
+  const auto data = runner.ComputeBaseline(rec::RecommenderKind::kPgpr);
+  ASSERT_TRUE(data.ok());
+  ASSERT_GE(data->users.size(), 4u);
+
+  std::vector<core::SummaryTask> tasks;
+  for (size_t u = 0; u < 4; ++u) {
+    for (int k : {2, 4}) {
+      tasks.push_back(
+          core::MakeUserCentricTask(runner.rec_graph(), data->users[u], k));
+    }
+  }
+  std::vector<core::SummarizerOptions> methods;
+  for (double lambda : {0.0, 1.0}) {
+    for (auto variant : {core::SteinerOptions::Variant::kKmb,
+                         core::SteinerOptions::Variant::kMehlhorn}) {
+      core::SummarizerOptions st;
+      st.method = core::SummaryMethod::kSteiner;
+      st.lambda = lambda;
+      st.steiner.variant = variant;
+      methods.push_back(st);
+    }
+    core::SummarizerOptions pcst;
+    pcst.method = core::SummaryMethod::kPcst;
+    pcst.lambda = lambda;
+    methods.push_back(pcst);
+  }
+  std::vector<std::pair<const core::SummaryTask*,
+                        const core::SummarizerOptions*>>
+      keys;
+  for (const core::SummaryTask& task : tasks) {
+    for (const core::SummarizerOptions& method : methods) {
+      keys.emplace_back(&task, &method);
+    }
+  }
+
+  GraphSnapshotRegistry registry;
+  registry.Publish(GraphSnapshotRegistry::Alias(runner.rec_graph()));
+  ServiceOptions options;
+  options.num_workers = 4;
+  SummaryService service(&registry, options);
+
+  constexpr size_t kThreads = 8;
+  std::vector<std::vector<std::shared_ptr<const SummaryRecord>>> results(
+      kThreads,
+      std::vector<std::shared_ptr<const SummaryRecord>>(keys.size()));
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < keys.size(); ++i) {
+        const size_t key = (i + t * keys.size() / kThreads) % keys.size();
+        const auto result =
+            service.Summarize(*keys[key].first, *keys[key].second);
+        ASSERT_TRUE(result.ok()) << result.status();
+        results[t][key] = *result;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (size_t key = 0; key < keys.size(); ++key) {
+    const auto fresh = core::Summarize(runner.rec_graph(), *keys[key].first,
+                                       *keys[key].second);
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    for (size_t t = 0; t < kThreads; ++t) {
+      ASSERT_NE(results[t][key], nullptr) << "key " << key;
+      EXPECT_EQ(results[t][key].get(), results[0][key].get()) << "key " << key;
+    }
+    const core::Summary& served = results[0][key]->summary();
+    ExpectIdentical(*fresh, served);
+    EXPECT_EQ(fresh->memory_bytes, served.memory_bytes) << "key " << key;
+  }
+  const ServiceStats stats = service.Stats();
+  const uint64_t requests = kThreads * keys.size();
+  EXPECT_EQ(stats.requests, requests);
+  EXPECT_EQ(stats.computed, keys.size());
+  EXPECT_EQ(stats.cache.hits + stats.coalesced, requests - stats.computed);
+  EXPECT_EQ(stats.errors, 0u);
 }
 
 TEST(SummaryServiceTest, CacheDisabledAlwaysComputes) {
