@@ -1,9 +1,9 @@
 /// \file bench_micro_core.cpp
 /// \brief Google-benchmark micro-benchmarks of the core primitives the
 /// summarizers are built from: Dijkstra, multi-source Dijkstra, the two ST
-/// constructions, the PCST growth, and the Eq. (1) weight adjustment.
-/// Complements the paper-shaped tables of bench_fig09/10/11 with per-op
-/// timings.
+/// constructions, the PCST growth, the Eq. (1) weight adjustment, and the
+/// rendering of a summary as its `/summarize` document. Complements the
+/// paper-shaped tables of bench_fig09/10/11 with per-op timings.
 ///
 /// Each search primitive comes in flavours:
 ///  - the plain name is the single-shot path (a fresh O(|V|) workspace and
@@ -16,8 +16,11 @@
 ///    `SearchWorkspace` and a prebuilt shared `graph::CostView` (the
 ///    steady state of `core::BatchSummarizer` / the summary service).
 /// Comparing SeedRef vs CostView rows reports the old-vs-new throughput of
-/// repeated queries. The SeedRef/CostView rows emit `XSUM_JSON` perf
-/// records for cross-commit trend tracking.
+/// repeated queries. `SummaryJsonSeedRef` vs `SummaryJson` is the same
+/// old-vs-new pair for rendering: the `net::JsonValue` tree the handler
+/// used to build and dump, against `service::SummaryToJson`'s direct
+/// writer. These rows emit `XSUM_JSON` perf records for cross-commit trend
+/// tracking.
 
 #include <benchmark/benchmark.h>
 
@@ -31,7 +34,9 @@
 #include "core/batch.h"
 #include "core/cost_transform.h"
 #include "core/pcst.h"
+#include "core/scenario.h"
 #include "core/steiner.h"
+#include "core/summarizer.h"
 #include "core/weight_adjust.h"
 #include "data/kg_builder.h"
 #include "data/synthetic.h"
@@ -40,6 +45,8 @@
 #include "graph/mst.h"
 #include "graph/search_workspace.h"
 #include "graph/subgraph.h"
+#include "net/json.h"
+#include "service/handler.h"
 #include "util/env.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -55,7 +62,35 @@ using namespace xsum;
 /// loops, and metric-closure rows that target the full terminal list
 /// (recomputing each symmetric distance twice, self-row included). The
 /// library path has since moved to epoch-stamped reusable workspaces.
+/// `SummaryToJson` is not from the seed but plays the same "old" role:
+/// the `/summarize` rendering the handler used before its direct writer,
+/// one `JsonValue` node per id, then `Dump`.
 namespace seed_ref {
+
+template <typename T>
+net::JsonValue IdArray(const std::vector<T>& ids) {
+  net::JsonValue array = net::JsonValue::Array();
+  for (const T id : ids) {
+    array.Append(net::JsonValue(static_cast<int64_t>(id)));
+  }
+  return array;
+}
+
+std::string SummaryToJson(const core::Summary& summary,
+                          uint64_t snapshot_version) {
+  net::JsonValue json = net::JsonValue::Object();
+  json.Set("snapshot_version", snapshot_version);
+  json.Set("scenario", core::ScenarioToString(summary.scenario));
+  json.Set("method", core::SummaryMethodToString(summary.method));
+  json.Set("anchors", IdArray(summary.anchors));
+  json.Set("terminals", IdArray(summary.terminals));
+  json.Set("unreached_terminals", IdArray(summary.unreached_terminals));
+  json.Set("num_nodes", summary.subgraph.num_nodes());
+  json.Set("num_edges", summary.subgraph.num_edges());
+  json.Set("nodes", IdArray(summary.subgraph.nodes()));
+  json.Set("edges", IdArray(summary.subgraph.edges()));
+  return json.Dump();
+}
 
 struct HeapEntry {
   double dist;
@@ -689,6 +724,88 @@ void BM_SweepIncremental(benchmark::State& state) {
   EmitMicroPerf(state, "SweepIncremental", 10, timer.ElapsedMillis());
 }
 BENCHMARK(BM_SweepIncremental);
+
+/// The largest PCST summary (most edges) of the default-scale serving
+/// catalog: the experiment runner's PGPR baseline (XSUM_SCALE and the
+/// other runner knobs apply) in all four scenarios at k = 1..10, the
+/// tasks a shard serves. The biggest bodies are the renders that set a
+/// cache hit's tail latency.
+const core::Summary& LargestPcstSummary() {
+  static const core::Summary* largest = [] {
+    const eval::ExperimentRunner runner =
+        bench::MakeRunner(eval::ExperimentConfig());
+    const data::RecGraph& rg = runner.rec_graph();
+    const auto data = bench::ValueOrDie(
+        runner.ComputeBaseline(rec::RecommenderKind::kPgpr), "baseline");
+    std::vector<core::SummaryTask> tasks;
+    for (int k = 1; k <= 10; ++k) {
+      for (const core::UserRecs& ur : data.users) {
+        tasks.push_back(core::MakeUserCentricTask(rg, ur, k));
+      }
+      for (const core::ItemAudience& item : data.items) {
+        tasks.push_back(
+            core::MakeItemCentricTask(rg, item.item, item.audience, k));
+      }
+      for (const auto& group : data.user_groups) {
+        tasks.push_back(core::MakeUserGroupTask(rg, group, k));
+      }
+      for (const auto& group : data.item_groups) {
+        tasks.push_back(core::MakeItemGroupTask(rg, group, k));
+      }
+    }
+    core::SummarizerOptions pcst;
+    pcst.method = core::SummaryMethod::kPcst;
+    core::BatchSummarizer engine(rg, /*num_workers=*/1);
+    auto* best = new core::Summary();
+    for (const core::SummaryTask& task : tasks) {
+      core::Summary summary =
+          bench::ValueOrDie(engine.Run(task, pcst), "PCST summary");
+      if (summary.subgraph.num_edges() > best->subgraph.num_edges()) {
+        *best = std::move(summary);
+      }
+    }
+    return best;
+  }();
+  return *largest;
+}
+
+/// Shared body of the render pair: \p render over the largest PCST
+/// summary, with bytes/s and the summary's size as counters.
+template <typename Render>
+void RunSummaryJson(benchmark::State& state, const char* method,
+                    Render render) {
+  const core::Summary& summary = LargestPcstSummary();
+  const std::string body = render(summary);
+  if (body != seed_ref::SummaryToJson(summary, 1)) {
+    state.SkipWithError("rendered bytes differ from the JsonValue document");
+    return;
+  }
+  WallTimer timer;
+  timer.Start();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(render(summary));
+  }
+  EmitMicroPerf(state, method, summary.terminals.size(),
+                timer.ElapsedMillis());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(body.size()));
+  state.counters["edges"] =
+      static_cast<double>(summary.subgraph.num_edges());
+}
+
+void BM_SummaryJsonSeedRef(benchmark::State& state) {
+  RunSummaryJson(state, "SummaryJsonSeedRef", [](const core::Summary& s) {
+    return seed_ref::SummaryToJson(s, 1);
+  });
+}
+BENCHMARK(BM_SummaryJsonSeedRef);
+
+void BM_SummaryJson(benchmark::State& state) {
+  RunSummaryJson(state, "SummaryJson", [](const core::Summary& s) {
+    return service::SummaryToJson(s, 1);
+  });
+}
+BENCHMARK(BM_SummaryJson);
 
 void BM_WeightAdjust(benchmark::State& state) {
   const auto& rg = FixtureGraph();

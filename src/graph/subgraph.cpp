@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <unordered_map>
+#include <utility>
 
 #include "graph/union_find.h"
 
@@ -31,6 +32,16 @@ Subgraph Subgraph::FromEdges(const KnowledgeGraph& graph,
     s.nodes_.push_back(r.dst);
   }
   SortUnique(&s.nodes_);
+  return s;
+}
+
+Subgraph Subgraph::FromIds(std::vector<NodeId> nodes,
+                           std::vector<EdgeId> edges) {
+  Subgraph s;
+  SortUnique(&nodes);
+  SortUnique(&edges);
+  s.nodes_ = std::move(nodes);
+  s.edges_ = std::move(edges);
   return s;
 }
 

@@ -26,6 +26,12 @@ class Subgraph {
                             std::vector<EdgeId> edges,
                             std::vector<NodeId> extra_nodes = {});
 
+  /// Builds from id lists taken as they are (sorted and deduplicated,
+  /// never looked up in a parent graph): for summaries built by hand, such
+  /// as rendering tests whose ids exceed any real graph.
+  static Subgraph FromIds(std::vector<NodeId> nodes,
+                          std::vector<EdgeId> edges);
+
   /// Sorted unique node ids.
   const std::vector<NodeId>& nodes() const { return nodes_; }
   /// Sorted unique edge ids.

@@ -9,44 +9,6 @@ namespace xsum::net {
 
 namespace {
 
-void AppendEscaped(const std::string& s, std::string* out) {
-  out->push_back('"');
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\b':
-        out->append("\\b");
-        break;
-      case '\f':
-        out->append("\\f");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(static_cast<char>(c));
-        }
-    }
-  }
-  out->push_back('"');
-}
-
 void AppendDouble(double d, std::string* out) {
   // NaN/Inf have no JSON representation; render as null like every
   // tolerant writer does (the library never produces them in responses).
@@ -357,6 +319,50 @@ class Parser {
 
 }  // namespace
 
+void AppendJsonInt(int64_t value, std::string* out) {
+  char buf[kMaxJsonIntChars];
+  out->append(buf, WriteJsonInt(value, buf));
+}
+
+void AppendJsonString(std::string_view s, std::string* out) {
+  out->push_back('"');
+  for (const char ch : s) {
+    const auto c = static_cast<unsigned char>(ch);
+    switch (c) {
+      case '"':
+        out->append("\\\"");
+        break;
+      case '\\':
+        out->append("\\\\");
+        break;
+      case '\b':
+        out->append("\\b");
+        break;
+      case '\f':
+        out->append("\\f");
+        break;
+      case '\n':
+        out->append("\\n");
+        break;
+      case '\r':
+        out->append("\\r");
+        break;
+      case '\t':
+        out->append("\\t");
+        break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out->append(buf);
+        } else {
+          out->push_back(static_cast<char>(c));
+        }
+    }
+  }
+  out->push_back('"');
+}
+
 void JsonValue::Set(const std::string& key, JsonValue value) {
   for (auto& member : members_) {
     if (member.first == key) {
@@ -382,18 +388,14 @@ void JsonValue::DumpTo(std::string* out) const {
     case Kind::kBool:
       out->append(bool_ ? "true" : "false");
       return;
-    case Kind::kInt: {
-      char buf[24];
-      const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), int_);
-      (void)ec;
-      out->append(buf, ptr);
+    case Kind::kInt:
+      AppendJsonInt(int_, out);
       return;
-    }
     case Kind::kDouble:
       AppendDouble(double_, out);
       return;
     case Kind::kString:
-      AppendEscaped(string_, out);
+      AppendJsonString(string_, out);
       return;
     case Kind::kArray: {
       out->push_back('[');
@@ -412,7 +414,7 @@ void JsonValue::DumpTo(std::string* out) const {
       for (const auto& [key, value] : members_) {
         if (!first) out->push_back(',');
         first = false;
-        AppendEscaped(key, out);
+        AppendJsonString(key, out);
         out->push_back(':');
         value.DumpTo(out);
       }

@@ -25,6 +25,8 @@
 #ifndef XSUM_NET_JSON_H_
 #define XSUM_NET_JSON_H_
 
+#include <charconv>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -131,6 +133,26 @@ class JsonValue {
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
 };
+
+/// Most chars `WriteJsonInt` writes: a sign and 19 digits.
+inline constexpr size_t kMaxJsonIntChars = 20;
+
+/// Writes \p value in decimal at \p out (room for `kMaxJsonIntChars`),
+/// exactly as `JsonValue::Dump` prints the integer lane, and returns one
+/// past the last char written. Writers that render a large fixed-shape
+/// document without building a tree (the `/summarize` response) format
+/// through this, `AppendJsonInt` and `AppendJsonString`, so there is one
+/// formatting rule.
+inline char* WriteJsonInt(int64_t value, char* out) {
+  return std::to_chars(out, out + kMaxJsonIntChars, value).ptr;
+}
+
+/// Appends \p value as `WriteJsonInt` writes it.
+void AppendJsonInt(int64_t value, std::string* out);
+
+/// Appends \p s quoted and escaped, exactly as `JsonValue::Dump` prints
+/// strings and object keys.
+void AppendJsonString(std::string_view s, std::string* out);
 
 /// Parses \p text as one complete JSON document (trailing whitespace
 /// allowed, anything else is an error). \p max_depth bounds array/object

@@ -2,6 +2,8 @@
 
 #include <chrono>
 #include <cstdlib>
+#include <limits>
+#include <string_view>
 #include <thread>
 #include <utility>
 
@@ -89,13 +91,33 @@ bool UnitIsUser(core::Scenario scenario) {
          scenario == core::Scenario::kUserGroup;
 }
 
+/// Upper bound of one rendered id (a `uint32_t`: 10 digits, then the
+/// comma), so `SummaryToJson` reserves its string once.
+constexpr size_t kMaxIdChars = std::numeric_limits<uint32_t>::digits10 + 2;
+/// The keys, punctuation and longest scenario and method names.
+constexpr size_t kSummaryFixedChars = 192;
+
+/// Appends \p prefix (`,"key":[`), the ids comma-separated, and `]`. The
+/// ids are written into a stack chunk that is appended when full: one
+/// append per id would cost more than formatting it.
 template <typename T>
-net::JsonValue IdArray(const std::vector<T>& ids) {
-  net::JsonValue array = net::JsonValue::Array();
-  for (const T id : ids) {
-    array.Append(net::JsonValue(static_cast<int64_t>(id)));
+void AppendIds(std::string_view prefix, const std::vector<T>& ids,
+               std::string* out) {
+  static_assert(sizeof(T) <= sizeof(uint32_t), "kMaxIdChars bounds 32 bits");
+  out->append(prefix);
+  char chunk[4096];
+  char* const flush_at = chunk + sizeof(chunk) - (1 + net::kMaxJsonIntChars);
+  char* end = chunk;
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (end > flush_at) {
+      out->append(chunk, end);
+      end = chunk;
+    }
+    if (i > 0) *end++ = ',';
+    end = net::WriteJsonInt(static_cast<int64_t>(ids[i]), end);
   }
-  return array;
+  out->append(chunk, end);
+  out->push_back(']');
 }
 
 }  // namespace
@@ -369,9 +391,15 @@ net::HttpResponse SummaryHandler::Summarize(const SummaryRequest& request,
     }
     return JsonError(500, result.status().ToString());
   }
-  if (eval_enabled()) FoldEvalStats(**result, version);
+  if (eval_enabled()) {
+    obs::SpanTimer eval_span(trace, "eval");
+    FoldEvalStats(**result, version);
+  }
   net::HttpResponse response;
-  response.body = SummaryToJson((*result)->summary(), version);
+  {
+    obs::SpanTimer render_span(trace, "render");
+    response.body = SummaryToJson((*result)->summary(), version);
+  }
   return response;
 }
 
@@ -565,18 +593,35 @@ net::HttpResponse SummaryHandler::HandleSnapshot() {
 
 std::string SummaryToJson(const core::Summary& summary,
                           uint64_t snapshot_version) {
-  net::JsonValue json = net::JsonValue::Object();
-  json.Set("snapshot_version", snapshot_version);
-  json.Set("scenario", core::ScenarioToString(summary.scenario));
-  json.Set("method", core::SummaryMethodToString(summary.method));
-  json.Set("anchors", IdArray(summary.anchors));
-  json.Set("terminals", IdArray(summary.terminals));
-  json.Set("unreached_terminals", IdArray(summary.unreached_terminals));
-  json.Set("num_nodes", summary.subgraph.num_nodes());
-  json.Set("num_edges", summary.subgraph.num_edges());
-  json.Set("nodes", IdArray(summary.subgraph.nodes()));
-  json.Set("edges", IdArray(summary.subgraph.edges()));
-  return json.Dump();
+  // Written straight into one string, in the bytes `JsonValue::Dump` gives
+  // the document {snapshot_version, scenario, method, anchors, terminals,
+  // unreached_terminals, num_nodes, num_edges, nodes, edges}: a tree would
+  // cost one node per id, which is most of a cache hit's work.
+  const graph::Subgraph& subgraph = summary.subgraph;
+  const size_t ids = summary.anchors.size() + summary.terminals.size() +
+                     summary.unreached_terminals.size() +
+                     subgraph.num_nodes() + subgraph.num_edges();
+  std::string out;
+  out.reserve(kSummaryFixedChars + 3 * net::kMaxJsonIntChars +
+              ids * kMaxIdChars);
+  out.append("{\"snapshot_version\":");
+  net::AppendJsonInt(static_cast<int64_t>(snapshot_version), &out);
+  out.append(",\"scenario\":");
+  net::AppendJsonString(core::ScenarioToString(summary.scenario), &out);
+  out.append(",\"method\":");
+  net::AppendJsonString(core::SummaryMethodToString(summary.method), &out);
+  AppendIds(",\"anchors\":[", summary.anchors, &out);
+  AppendIds(",\"terminals\":[", summary.terminals, &out);
+  AppendIds(",\"unreached_terminals\":[", summary.unreached_terminals,
+            &out);
+  out.append(",\"num_nodes\":");
+  net::AppendJsonInt(static_cast<int64_t>(subgraph.num_nodes()), &out);
+  out.append(",\"num_edges\":");
+  net::AppendJsonInt(static_cast<int64_t>(subgraph.num_edges()), &out);
+  AppendIds(",\"nodes\":[", subgraph.nodes(), &out);
+  AppendIds(",\"edges\":[", subgraph.edges(), &out);
+  out.push_back('}');
+  return out;
 }
 
 std::string ServiceStatsToJson(const ServiceStats& stats) {

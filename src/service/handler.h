@@ -252,7 +252,9 @@ class SummaryHandler {
 };
 
 /// Renders \p summary as the deterministic `/summarize` response document
-/// (sorted subgraph ids, no timing fields).
+/// (sorted subgraph ids, no timing fields), written directly rather than
+/// through a `net::JsonValue` tree but byte-identical to that tree's
+/// `Dump` (DESIGN.md §6.2).
 std::string SummaryToJson(const core::Summary& summary,
                           uint64_t snapshot_version);
 

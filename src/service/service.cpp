@@ -115,8 +115,13 @@ Result<std::shared_ptr<const SummaryRecord>> SummaryService::ComputeOn(
     if (reused) ++incremental_;
   }
   if (!result.ok()) return result.status();
+  // A checkpoint recorded under an Eq. (1) overlay carries only to a step
+  // whose overlay is bitwise the same. Over the whole catalog that step is
+  // always the same task, which the cache answers by fingerprint before
+  // any compute, so such a checkpoint is not cached (DESIGN.md §5.3).
   if (out_chain != nullptr && next_chain != nullptr &&
-      next_chain->has_state) {
+      next_chain->has_state &&
+      next_chain->cost_sig.kind != core::CostSignature::Kind::kOverlay) {
     *out_chain = std::move(next_chain);
   }
   return std::make_shared<const SummaryRecord>(std::move(*result));

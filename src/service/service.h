@@ -208,7 +208,9 @@ class SummaryService {
 
   /// Leases a worker slot and runs the engine. \p prev_chain (may be null)
   /// seeds the chained summarization; \p out_chain (may be null) receives
-  /// the checkpoint the step produced, for caching alongside the summary.
+  /// the checkpoint the step produced, for caching alongside the summary,
+  /// unless its cost signature is an Eq. (1) overlay (no later compute
+  /// could carry it).
   Result<std::shared_ptr<const SummaryRecord>> ComputeOn(
       ServingState& state, const core::SummaryTask& task,
       const core::SummarizerOptions& options,

@@ -1,18 +1,28 @@
 /// Tests of the transport-facing summary handler: request parsing and
-/// validation, endpoint dispatch, deterministic response rendering, the
-/// predecessor-hint path, and snapshot publication over the wire surface.
+/// validation, endpoint dispatch, deterministic response rendering (the
+/// direct `/summarize` writer against the `JsonValue` document it
+/// replaced), the handler's trace spans, the predecessor-hint path, and
+/// snapshot publication over the wire surface.
 
 #include "service/handler.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <set>
 #include <string>
+#include <vector>
 
+#include "core/scenario.h"
 #include "core/summarizer.h"
 #include "eval/experiment.h"
 #include "eval/runner.h"
+#include "graph/subgraph.h"
 #include "net/json.h"
+#include "obs/trace.h"
 #include "service/snapshot_registry.h"
 
 namespace xsum::service {
@@ -38,9 +48,26 @@ class HandlerTest : public ::testing::Test {
     auto data = runner_->ComputeBaseline(rec::RecommenderKind::kPgpr);
     ASSERT_TRUE(data.ok()) << data.status();
     ASSERT_FALSE(data->users.empty());
+    // Every scenario, so the rendering tests see every document shape.
+    const data::RecGraph& graph = runner_->rec_graph();
     catalog_ = new TaskCatalog();
     for (const core::UserRecs& ur : data->users) {
-      catalog_->AddUserCentric(runner_->rec_graph(), ur, 5);
+      catalog_->AddUserCentric(graph, ur, kMaxK);
+    }
+    for (int k = 1; k <= kMaxK; ++k) {
+      for (const core::ItemAudience& item : data->items) {
+        catalog_->Add(
+            core::Scenario::kItemCentric, item.item, k,
+            core::MakeItemCentricTask(graph, item.item, item.audience, k));
+      }
+      for (uint32_t g = 0; g < data->user_groups.size(); ++g) {
+        catalog_->Add(core::Scenario::kUserGroup, g, k,
+                      core::MakeUserGroupTask(graph, data->user_groups[g], k));
+      }
+      for (uint32_t g = 0; g < data->item_groups.size(); ++g) {
+        catalog_->Add(core::Scenario::kItemGroup, g, k,
+                      core::MakeItemGroupTask(graph, data->item_groups[g], k));
+      }
     }
     registry_ = new GraphSnapshotRegistry();
     registry_->Publish(GraphSnapshotRegistry::Alias(runner_->rec_graph()));
@@ -64,6 +91,8 @@ class HandlerTest : public ::testing::Test {
     catalog_ = nullptr;
     runner_ = nullptr;
   }
+
+  static constexpr int kMaxK = 5;
 
   static uint32_t FirstUser() { return catalog_->entries().front().unit; }
 
@@ -203,6 +232,40 @@ TEST_F(HandlerTest, SummarizeMatchesDirectEngineCall) {
   EXPECT_EQ(handler_->Summarize(request).body, response.body);
 }
 
+TEST_F(HandlerTest, SummarizeTraceShowsEvalAndRenderSpans) {
+  const auto traced_spans = [&](uint64_t trace_id) {
+    net::HttpRequest request;
+    request.method = "POST";
+    request.target = "/summarize";
+    request.body = R"({"user":)" + std::to_string(FirstUser()) + R"(,"k":2})";
+    request.headers.emplace_back(obs::kTraceHeaderLower,
+                                 obs::TraceIdToHex(trace_id));
+    EXPECT_EQ(handler_->Handle(request).status, 200);
+    obs::TraceLog::Entry entry;
+    EXPECT_TRUE(handler_->trace_log().Find(trace_id, &entry));
+    std::vector<std::string> names;
+    for (const obs::Span& span : entry.spans) names.push_back(span.name);
+    return names;
+  };
+  const auto has = [](const std::vector<std::string>& names,
+                      const char* name) {
+    return std::find(names.begin(), names.end(), name) != names.end();
+  };
+
+  const std::vector<std::string> spans = traced_spans(0xE7A1ULL);
+  EXPECT_TRUE(has(spans, "cache.lookup"));
+  EXPECT_TRUE(has(spans, "eval"));
+  ASSERT_FALSE(spans.empty());
+  EXPECT_EQ(spans.back(), "render");
+
+  // Without evaluation there is no eval span; the render span stays.
+  handler_->set_eval_enabled(false);
+  const std::vector<std::string> no_eval = traced_spans(0xE7A2ULL);
+  handler_->set_eval_enabled(true);
+  EXPECT_FALSE(has(no_eval, "eval"));
+  EXPECT_TRUE(has(no_eval, "render"));
+}
+
 TEST_F(HandlerTest, PredecessorHintIsAnOptimizationNotAnInput) {
   SummaryRequest base;
   base.unit = FirstUser();
@@ -273,6 +336,166 @@ TEST_F(HandlerTest, SnapshotWithoutPublisherIs503) {
   request.method = "POST";
   request.target = "/snapshot";
   EXPECT_EQ(no_publish.Handle(request).status, 503);
+}
+
+/// The `/summarize` document as the handler built it before rendering went
+/// straight to bytes: a `net::JsonValue` tree, dumped. `SummaryToJson`
+/// must produce exactly these bytes.
+template <typename T>
+net::JsonValue ReferenceIds(const std::vector<T>& ids) {
+  net::JsonValue array = net::JsonValue::Array();
+  for (const T id : ids) {
+    array.Append(net::JsonValue(static_cast<int64_t>(id)));
+  }
+  return array;
+}
+
+std::string ReferenceSummaryJson(const core::Summary& summary,
+                                 uint64_t snapshot_version) {
+  net::JsonValue json = net::JsonValue::Object();
+  json.Set("snapshot_version", snapshot_version);
+  json.Set("scenario", core::ScenarioToString(summary.scenario));
+  json.Set("method", core::SummaryMethodToString(summary.method));
+  json.Set("anchors", ReferenceIds(summary.anchors));
+  json.Set("terminals", ReferenceIds(summary.terminals));
+  json.Set("unreached_terminals", ReferenceIds(summary.unreached_terminals));
+  json.Set("num_nodes", summary.subgraph.num_nodes());
+  json.Set("num_edges", summary.subgraph.num_edges());
+  json.Set("nodes", ReferenceIds(summary.subgraph.nodes()));
+  json.Set("edges", ReferenceIds(summary.subgraph.edges()));
+  return json.Dump();
+}
+
+template <typename T>
+std::vector<int64_t> Widened(const std::vector<T>& ids) {
+  return std::vector<int64_t>(ids.begin(), ids.end());
+}
+
+std::vector<int64_t> ParsedIds(const net::JsonValue& json, const char* key) {
+  std::vector<int64_t> ids;
+  const net::JsonValue* array = json.Find(key);
+  if (array == nullptr || !array->is_array()) {
+    ADD_FAILURE() << "no array '" << key << "'";
+    return ids;
+  }
+  for (const net::JsonValue& id : array->items()) {
+    EXPECT_TRUE(id.is_int()) << key;
+    ids.push_back(id.AsInt());
+  }
+  return ids;
+}
+
+/// Renders \p summary and checks the bytes against the reference and the
+/// parsed document against the summary's fields.
+void ExpectRendersLikeReference(const core::Summary& summary,
+                                uint64_t snapshot_version) {
+  const std::string body = SummaryToJson(summary, snapshot_version);
+  ASSERT_EQ(body, ReferenceSummaryJson(summary, snapshot_version));
+  const auto json = net::ParseJson(body);
+  ASSERT_TRUE(json.ok()) << json.status();
+  const auto integer = [&](const char* key) {
+    const net::JsonValue* value = json->Find(key);
+    EXPECT_TRUE(value != nullptr && value->is_int()) << key;
+    return value != nullptr ? value->AsInt() : int64_t{-1};
+  };
+  const auto string = [&](const char* key) {
+    const net::JsonValue* value = json->Find(key);
+    EXPECT_TRUE(value != nullptr && value->is_string()) << key;
+    return value != nullptr ? value->AsString() : std::string();
+  };
+  EXPECT_EQ(json->members().size(), 10u);
+  EXPECT_EQ(integer("snapshot_version"),
+            static_cast<int64_t>(snapshot_version));
+  EXPECT_EQ(string("scenario"), core::ScenarioToString(summary.scenario));
+  EXPECT_EQ(string("method"), core::SummaryMethodToString(summary.method));
+  EXPECT_EQ(ParsedIds(*json, "anchors"), Widened(summary.anchors));
+  EXPECT_EQ(ParsedIds(*json, "terminals"), Widened(summary.terminals));
+  EXPECT_EQ(ParsedIds(*json, "unreached_terminals"),
+            Widened(summary.unreached_terminals));
+  EXPECT_EQ(integer("num_nodes"),
+            static_cast<int64_t>(summary.subgraph.num_nodes()));
+  EXPECT_EQ(integer("num_edges"),
+            static_cast<int64_t>(summary.subgraph.num_edges()));
+  EXPECT_EQ(ParsedIds(*json, "nodes"), Widened(summary.subgraph.nodes()));
+  EXPECT_EQ(ParsedIds(*json, "edges"), Widened(summary.subgraph.edges()));
+}
+
+/// The wire bytes of `/summarize`: every fence that compares a routed or
+/// served body renders its reference with `SummaryToJson` too, so only
+/// this suite can see a changed byte.
+class SummaryJsonTest : public HandlerTest {};
+
+TEST_F(SummaryJsonTest, MatchesJsonValueReference) {
+  struct Method {
+    core::SummaryMethod method;
+    core::SteinerOptions::Variant variant;
+  };
+  const Method methods[] = {
+      {core::SummaryMethod::kSteiner, core::SteinerOptions::Variant::kKmb},
+      {core::SummaryMethod::kSteiner,
+       core::SteinerOptions::Variant::kMehlhorn},
+      {core::SummaryMethod::kPcst, core::SteinerOptions::Variant::kMehlhorn},
+  };
+  std::set<core::Scenario> scenarios;
+  size_t rendered = 0;
+  for (const TaskCatalog::Entry& entry : catalog_->entries()) {
+    const core::SummaryTask* task =
+        catalog_->Find(entry.scenario, entry.unit, entry.k);
+    ASSERT_NE(task, nullptr);
+    for (const Method& method : methods) {
+      for (const double lambda : {0.0, 1.0}) {
+        SummaryRequest request;
+        request.scenario = entry.scenario;
+        request.unit = entry.unit;
+        request.k = entry.k;
+        request.method = method.method;
+        request.variant = method.variant;
+        request.lambda = lambda;
+        const auto summary = core::Summarize(runner_->rec_graph(), *task,
+                                             RequestOptions(request));
+        ASSERT_TRUE(summary.ok()) << summary.status();
+        ExpectRendersLikeReference(*summary, service_->serving_version());
+        scenarios.insert(entry.scenario);
+        ++rendered;
+      }
+    }
+  }
+  EXPECT_EQ(scenarios.size(), 4u);
+  EXPECT_EQ(rendered, catalog_->size() * 6);
+
+  // Hand-built edge cases: the empty summary, one with no unreached
+  // terminals, a single node, the extreme snapshot versions, and the
+  // largest ids.
+  constexpr graph::NodeId kMaxNode = std::numeric_limits<graph::NodeId>::max();
+  constexpr graph::EdgeId kMaxEdge = std::numeric_limits<graph::EdgeId>::max();
+  const core::Summary empty{};
+  ExpectRendersLikeReference(empty, 0);
+  ExpectRendersLikeReference(empty, 1);
+
+  core::Summary reached;
+  reached.method = core::SummaryMethod::kPcst;
+  reached.scenario = core::Scenario::kItemGroup;
+  reached.anchors = {3, 4};
+  reached.terminals = {3, 4, 9};
+  reached.subgraph = graph::Subgraph::FromIds({3, 4, 7, 9}, {0, 2, 5});
+  ExpectRendersLikeReference(reached, 2);
+
+  core::Summary single;
+  single.scenario = core::Scenario::kItemCentric;
+  single.anchors = {12};
+  single.terminals = {12};
+  single.subgraph = graph::Subgraph::FromIds({12}, {});
+  ExpectRendersLikeReference(single, 1);
+
+  core::Summary largest;
+  largest.method = core::SummaryMethod::kBaseline;
+  largest.scenario = core::Scenario::kUserGroup;
+  largest.anchors = {kMaxNode};
+  largest.terminals = {0, kMaxNode};
+  largest.unreached_terminals = {kMaxNode};
+  largest.subgraph = graph::Subgraph::FromIds({0, kMaxNode}, {0, kMaxEdge});
+  ExpectRendersLikeReference(largest, 0);
+  ExpectRendersLikeReference(largest, (uint64_t{1} << 53) + 1);
 }
 
 }  // namespace

@@ -2,8 +2,9 @@
 /// be bit-identical to fresh `Summarize` calls across methods and
 /// scenarios, concurrent identical requests must coalesce into one
 /// computation, concurrent distinct misses on several worker slots must
-/// each match a fresh computation, and a snapshot swap must never serve a
-/// stale entry.
+/// each match a fresh computation, a snapshot swap must never serve a
+/// stale entry, and a chain checkpoint is cached only when a later compute
+/// could carry it.
 
 #include "service/service.h"
 
@@ -14,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/batch.h"
+#include "core/incremental.h"
 #include "core/summarizer.h"
 #include "data/kg_builder.h"
 #include "data/synthetic.h"
@@ -450,6 +453,42 @@ TEST(SummaryServiceTest, PredecessorHintSummarizesIncrementallyBitIdentical) {
   const auto fresh = core::Summarize(runner.rec_graph(), task, st);
   ASSERT_TRUE(hinted.ok() && fresh.ok());
   ExpectIdentical(*fresh, (*hinted)->summary());
+}
+
+TEST(SummaryServiceTest, OverlayCheckpointIsNotCached) {
+  eval::ExperimentRunner runner(TinyConfig());
+  ASSERT_TRUE(runner.Init().ok());
+  const auto data = runner.ComputeBaseline(rec::RecommenderKind::kPgpr);
+  ASSERT_TRUE(data.ok());
+  GraphSnapshotRegistry registry;
+  registry.Publish(GraphSnapshotRegistry::Alias(runner.rec_graph()));
+  SummaryService service(&registry, ServiceOptions());
+
+  const core::SummaryTask task =
+      core::MakeUserCentricTask(runner.rec_graph(), data->users[0], 3);
+  core::SummarizerOptions kmb;
+  kmb.method = core::SummaryMethod::kSteiner;
+  kmb.steiner.variant = core::SteinerOptions::Variant::kKmb;
+  kmb.lambda = 1.0;
+  // Precondition: at λ = 1 this task's Eq. (1) overlay moves its costs, so
+  // its checkpoint could seed only a step with bitwise the same overlay.
+  core::BatchSummarizer engine(runner.rec_graph(), /*num_workers=*/1);
+  core::SummaryChain probe;
+  ASSERT_TRUE(engine.RunChainedWith(0, task, kmb, nullptr, &probe).ok());
+  ASSERT_EQ(probe.cost_sig.kind, core::CostSignature::Kind::kOverlay);
+
+  // A route key makes any cached checkpoint visible to `ExportChains`.
+  constexpr uint64_t kRouteKey = 7;
+  ASSERT_TRUE(service.Summarize(task, kmb, nullptr, nullptr, kRouteKey).ok());
+  EXPECT_TRUE(service.ExportChains().empty());
+
+  // λ = 0 leaves the base costs, so the miss still caches its checkpoint.
+  kmb.lambda = 0.0;
+  ASSERT_TRUE(service.Summarize(task, kmb, nullptr, nullptr, kRouteKey).ok());
+  const auto chains = service.ExportChains();
+  ASSERT_EQ(chains.size(), 1u);
+  EXPECT_EQ(chains[0].chain->cost_sig.kind, core::CostSignature::Kind::kBase);
+  EXPECT_EQ(service.Stats().computed, 2u);
 }
 
 }  // namespace
